@@ -118,6 +118,20 @@ impl PicosDelegate {
         result
     }
 
+    /// Counts `n` failed *Fetch SW ID*s, each preceded by a failed *Ready Task Request* if
+    /// `rejected_request`, for polls that were skipped rather than issued.
+    pub(crate) fn record_failed_polls(&mut self, rejected_request: bool, n: u64) {
+        let mut record = |op| {
+            let i = DelegateStats::index(op);
+            self.stats.issued[i] += n;
+            self.stats.failed[i] += n;
+        };
+        if rejected_request {
+            record(TaskSchedOp::ReadyTaskRequest);
+        }
+        record(TaskSchedOp::FetchSwId);
+    }
+
     /// *Retire Task* — blocking; returns the cycles the core is held.
     pub fn retire_task(&mut self, manager: &mut PicosManager, picos_id: u32, now: Cycle) -> Cycle {
         self.stats.record(TaskSchedOp::RetireTask, true);

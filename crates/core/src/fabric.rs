@@ -8,12 +8,14 @@
 //! *Retire Task* transaction adds — this is the "FPGA-CPU communication latency eliminated"
 //! property the paper's speedups come from.
 
-use tis_machine::fabric::{CoreId, FabricOutcome, FabricStats, SchedulerFabric};
+use std::cell::Cell;
+
+use tis_machine::fabric::{CoreId, FabricOutcome, FabricStats, IdlePoll, SchedulerFabric};
 use tis_picos::PicosConfig;
 use tis_sim::Cycle;
 
 use crate::delegate::PicosDelegate;
-use crate::manager::{ManagerConfig, PicosManager};
+use crate::manager::{ManagerConfig, PicosManager, SharedQuiet};
 
 /// Configuration of the tightly-integrated scheduling subsystem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +45,9 @@ pub struct TisFabric {
     manager: PicosManager,
     delegates: Vec<PicosDelegate>,
     stats: FabricStats,
+    /// [`PicosManager::shared_quiet`], computed once for all the parked cores the engine
+    /// asks about after a step. Every operation clears it.
+    shared_quiet: Cell<Option<SharedQuiet>>,
 }
 
 impl TisFabric {
@@ -53,6 +58,7 @@ impl TisFabric {
             manager: PicosManager::new(cores, config.manager, config.picos),
             delegates: (0..cores).map(PicosDelegate::new).collect(),
             stats: FabricStats::default(),
+            shared_quiet: Cell::new(None),
         }
     }
 
@@ -88,10 +94,12 @@ impl SchedulerFabric for TisFabric {
     }
 
     fn set_time_horizon(&mut self, safe_now: Cycle) {
+        self.shared_quiet.set(None);
         self.manager.set_time_horizon(safe_now);
     }
 
     fn submission_request(&mut self, core: CoreId, packet_count: u32, now: Cycle) -> (Cycle, FabricOutcome<()>) {
+        self.shared_quiet.set(None);
         self.stats.operations += 1;
         let ok = self.delegates[core].submission_request(&mut self.manager, packet_count, now);
         if !ok {
@@ -101,6 +109,7 @@ impl SchedulerFabric for TisFabric {
     }
 
     fn submit_packets(&mut self, core: CoreId, packets: &[u32], now: Cycle) -> (Cycle, FabricOutcome<()>) {
+        self.shared_quiet.set(None);
         self.stats.operations += 1;
         let ok = self.delegates[core].submit_packets(&mut self.manager, packets, now);
         if ok && self.manager.stats().descriptors_forwarded > self.stats.tasks_submitted {
@@ -110,12 +119,14 @@ impl SchedulerFabric for TisFabric {
     }
 
     fn ready_task_request(&mut self, core: CoreId, now: Cycle) -> (Cycle, FabricOutcome<()>) {
+        self.shared_quiet.set(None);
         self.stats.operations += 1;
         let ok = self.delegates[core].ready_task_request(&mut self.manager, now);
         (self.config.rocc_latency, if ok { FabricOutcome::Success(()) } else { FabricOutcome::Failure })
     }
 
     fn fetch_sw_id(&mut self, core: CoreId, now: Cycle) -> (Cycle, FabricOutcome<u64>) {
+        self.shared_quiet.set(None);
         self.stats.operations += 1;
         match self.delegates[core].fetch_sw_id(&mut self.manager, now) {
             Some(sw) => (self.config.rocc_latency, FabricOutcome::Success(sw)),
@@ -127,6 +138,7 @@ impl SchedulerFabric for TisFabric {
     }
 
     fn fetch_picos_id(&mut self, core: CoreId, now: Cycle) -> (Cycle, FabricOutcome<u32>) {
+        self.shared_quiet.set(None);
         self.stats.operations += 1;
         match self.delegates[core].fetch_picos_id(&mut self.manager, now) {
             Some(pid) => {
@@ -141,6 +153,7 @@ impl SchedulerFabric for TisFabric {
     }
 
     fn retire_task(&mut self, core: CoreId, picos_id: u32, now: Cycle) -> Cycle {
+        self.shared_quiet.set(None);
         self.stats.operations += 1;
         self.stats.tasks_retired += 1;
         let manager_latency = self.delegates[core].retire_task(&mut self.manager, picos_id, now);
@@ -167,6 +180,31 @@ impl SchedulerFabric for TisFabric {
 
     fn occupancy(&self) -> (usize, usize) {
         self.manager.occupancy()
+    }
+
+    /// The manager's horizon, moved one RoCC latency earlier when the poll's fetch follows a
+    /// request: that fetch is issued one instruction after the poll starts.
+    fn quiet_horizon(&self, core: CoreId, poll: IdlePoll) -> Cycle {
+        let shared = self.shared_quiet.get().unwrap_or_else(|| {
+            let shared = self.manager.shared_quiet();
+            self.shared_quiet.set(Some(shared));
+            shared
+        });
+        let h = self.manager.quiet_horizon(core, poll.rejected_request, shared);
+        if poll.rejected_request {
+            h.saturating_sub(self.config.rocc_latency)
+        } else {
+            h
+        }
+    }
+
+    fn charge_failed_polls(&mut self, core: CoreId, poll: IdlePoll, n: u64) {
+        self.stats.operations += n * if poll.rejected_request { 2 } else { 1 };
+        self.stats.fetch_failures += n;
+        self.delegates[core].record_failed_polls(poll.rejected_request, n);
+        if poll.rejected_request {
+            self.manager.record_routing_rejections(n);
+        }
     }
 }
 
@@ -286,6 +324,157 @@ mod tests {
         }
         assert!(accepted < 4, "saturated hardware must reject some submissions");
         assert!(SchedulerFabric::stats(&f).submission_failures > 0);
+    }
+
+    /// Whether one `poll` by `core` starting at `start` fails without a trace: issuing it
+    /// leaves the fabric exactly as accounting it as a skipped poll does.
+    fn poll_is_pure(f: &TisFabric, core: usize, poll: IdlePoll, start: Cycle) -> bool {
+        let mut issued = f.clone();
+        issued.set_time_horizon(start);
+        let mut now = start;
+        let mut failed = true;
+        if poll.rejected_request {
+            let (lat, out) = issued.ready_task_request(core, now);
+            failed &= !out.is_success();
+            now += lat;
+        }
+        failed &= !issued.fetch_sw_id(core, now).1.is_success();
+        let mut charged = f.clone();
+        charged.set_time_horizon(start);
+        charged.charge_failed_polls(core, poll, 1);
+        let state = |f: &TisFabric| format!("{:?}", (&f.manager, &f.delegates, &f.stats));
+        failed && state(&issued) == state(&charged)
+    }
+
+    const FETCH: IdlePoll = IdlePoll { rejected_request: false };
+    const REQUEST_AND_FETCH: IdlePoll = IdlePoll { rejected_request: true };
+
+    /// Two cores sharing a one-entry routing queue that core 0 holds.
+    fn one_routing_slot_held_by_core_0() -> TisFabric {
+        let cfg = TisConfig {
+            manager: ManagerConfig { routing_queue_depth: 1, ..ManagerConfig::default() },
+            ..TisConfig::default()
+        };
+        let mut f = TisFabric::new(2, cfg);
+        assert!(f.ready_task_request(0, 0).1.is_success());
+        f
+    }
+
+    #[test]
+    fn quiet_horizon_covers_the_fetch_one_latency_after_a_rejected_request() {
+        let mut f = one_routing_slot_held_by_core_0();
+        assert!(submit(&mut f, 0, 7, vec![], 0));
+        let publish = f.manager().picos().quiet_horizon();
+        assert!(publish > 0 && publish < Cycle::MAX, "the task is still in the Picos pipeline");
+        // Core 1's request is rejected at the poll's start and its fetch follows one RoCC
+        // latency later: the fetch that lands on the publication routes the task to core 0.
+        let h = f.quiet_horizon(1, REQUEST_AND_FETCH);
+        assert_eq!(h, publish - f.config().rocc_latency);
+        assert!(poll_is_pure(&f, 1, REQUEST_AND_FETCH, h - 1));
+        assert!(!poll_is_pure(&f, 1, REQUEST_AND_FETCH, h), "its fetch routes the published task");
+        assert_eq!(f.quiet_horizon(1, FETCH), publish);
+    }
+
+    #[test]
+    fn a_rejected_request_stays_quiet_until_the_routing_queue_has_room() {
+        let mut f = one_routing_slot_held_by_core_0();
+        // Nothing pending anywhere: core 1's rejected polls are quiet for good.
+        assert!(f.quiet_horizon(1, REQUEST_AND_FETCH) > 1_000_000);
+        assert!(poll_is_pure(&f, 1, REQUEST_AND_FETCH, 1_000_000));
+        // A task is routed to core 0, which frees the slot: core 1's next request goes through,
+        // so its poll is no longer quiet, while a bare fetch still is.
+        assert!(submit(&mut f, 0, 7, vec![], 10));
+        let mut now = 10;
+        while !f.fetch_sw_id(0, now).1.is_success() {
+            now += 1;
+            assert!(now < 10_000, "task never routed");
+        }
+        assert_eq!(f.quiet_horizon(1, REQUEST_AND_FETCH), 0);
+        assert!(!poll_is_pure(&f, 1, REQUEST_AND_FETCH, now));
+        assert_eq!(f.quiet_horizon(1, FETCH), Cycle::MAX);
+    }
+
+    #[test]
+    fn a_fetch_picos_id_pop_that_leaves_routable_work_is_not_quiet() {
+        // One-entry per-core queues; core 0 requests twice, so its second request heads the
+        // routing queue while its queue holds the first task.
+        let cfg = TisConfig {
+            manager: ManagerConfig { ready_queue_per_core: 1, ..ManagerConfig::default() },
+            ..TisConfig::default()
+        };
+        let mut f = TisFabric::new(2, cfg);
+        assert!(submit(&mut f, 1, 1, vec![], 0));
+        assert!(submit(&mut f, 1, 2, vec![], 0));
+        assert!(f.ready_task_request(0, 0).1.is_success());
+        assert!(f.ready_task_request(0, 0).1.is_success());
+        let mut now = 0;
+        while !f.fetch_sw_id(0, now).1.is_success() {
+            now += 1;
+            assert!(now < 10_000, "task never routed");
+        }
+        // Let the second task publish inside Picos, blocked behind core 0's full queue.
+        now += 200;
+        assert_eq!(f.fetch_sw_id(0, now).1.success(), Some(1));
+        assert_eq!(f.quiet_horizon(1, FETCH), Cycle::MAX, "routing is blocked on core 0's queue");
+        // The pop frees core 0's queue but nothing advances the manager after it: the next
+        // call by any core routes the second task.
+        assert!(f.fetch_picos_id(0, now).1.is_success());
+        assert!(f.quiet_horizon(1, FETCH) <= now);
+        assert!(!poll_is_pure(&f, 1, FETCH, now));
+    }
+
+    #[test]
+    fn polls_before_the_quiet_horizon_are_pure() {
+        use tis_picos::TrackerConfig;
+        use tis_sim::SimRng;
+        // Small queues and tracker so every blocking condition occurs.
+        let cfg = TisConfig {
+            manager: ManagerConfig { routing_queue_depth: 2, ready_queue_per_core: 1, ..ManagerConfig::default() },
+            picos: PicosConfig {
+                tracker: TrackerConfig { task_memory_entries: 4, address_table_entries: 16 },
+                ready_queue_depth: 2,
+                ..PicosConfig::default()
+            },
+            ..TisConfig::default()
+        };
+        let mut f = TisFabric::new(3, cfg);
+        let mut rng = SimRng::new(11);
+        let (mut now, mut sw_id, mut held) = (0, 0, Vec::new());
+        for _ in 0..600 {
+            now += rng.below(40);
+            f.set_time_horizon(now);
+            let core = rng.below(3) as usize;
+            match rng.below(4) {
+                0 => {
+                    let deps = vec![Dependence::read_write(0x100 + 64 * rng.below(3))];
+                    sw_id += u64::from(submit(&mut f, core, sw_id, deps, now));
+                }
+                1 => {
+                    f.ready_task_request(core, now);
+                }
+                2 => {
+                    if f.fetch_sw_id(core, now).1.is_success() {
+                        held.extend(f.fetch_picos_id(core, now).1.success());
+                    }
+                }
+                _ => {
+                    if !held.is_empty() {
+                        let pid = held.swap_remove(rng.below(held.len() as u64) as usize);
+                        f.retire_task(core, pid, now);
+                    }
+                }
+            }
+            for c in 0..3 {
+                for poll in [FETCH, REQUEST_AND_FETCH] {
+                    let h = f.quiet_horizon(c, poll);
+                    for start in [now, now + 1, now + 37, h.saturating_sub(1).min(now + 5_000)] {
+                        if start < h {
+                            assert!(poll_is_pure(&f, c, poll, start), "core {c} {poll:?} at {start}, horizon {h}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

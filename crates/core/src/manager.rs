@@ -68,6 +68,18 @@ struct SubmissionBuffer {
     packets: Vec<u32>,
 }
 
+/// What a failed poll's quiet horizon depends on beyond the polling core's own ready queue
+/// (see [`PicosManager::shared_quiet`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SharedQuiet {
+    /// The next call forwards a descriptor to Picos.
+    forwards: bool,
+    /// The routing queue rejects requests.
+    routing_full: bool,
+    /// [`Picos::quiet_horizon`] while routing reaches into Picos, else `Cycle::MAX`.
+    routed: Cycle,
+}
+
 /// Aggregate statistics of the manager.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ManagerStats {
@@ -299,6 +311,41 @@ impl PicosManager {
         self.stats.retirements += 1;
         self.advance(now);
         wait + self.config.retire_arbiter_occupancy + self.config.protocol_crossing
+    }
+
+    /// The part of [`PicosManager::quiet_horizon`] that is the same for every core.
+    pub(crate) fn shared_quiet(&self) -> SharedQuiet {
+        let routes_from_picos =
+            self.routing_queue.front().is_some_and(|&head| !self.ready_queues[head].is_full());
+        SharedQuiet {
+            forwards: !self.forward_queue.is_empty() && self.picos.can_accept_submission(),
+            routing_full: self.routing_queue.is_full(),
+            routed: if routes_from_picos { self.picos.quiet_horizon() } else { Cycle::MAX },
+        }
+    }
+
+    /// Earliest cycle from which a failed fetch by `core` — after a *Ready Task Request* the
+    /// full routing queue rejects, if `requests` — might succeed or change any state here, if
+    /// no other core operates first. Calls at earlier cycles only fail. `shared` is
+    /// [`PicosManager::shared_quiet`] of the current state.
+    ///
+    /// `0` when the very next call could act: a forwarded descriptor Picos can take, or a
+    /// request the routing queue has room for. Otherwise the earliest of the core's own ready
+    /// queue front becoming visible and, while the routing head's queue has room so that
+    /// routing reaches into Picos, [`Picos::quiet_horizon`].
+    pub(crate) fn quiet_horizon(&self, core: CoreId, requests: bool, shared: SharedQuiet) -> Cycle {
+        if shared.forwards || (requests && !shared.routing_full) {
+            return 0;
+        }
+        let own = self.ready_queues[core].front().map_or(Cycle::MAX, |e| e.available_at);
+        own.min(shared.routed)
+    }
+
+    /// Counts `n` *Ready Task Request*s refused by the full routing queue, for polls that were
+    /// skipped while [`PicosManager::quiet_horizon`] held.
+    pub(crate) fn record_routing_rejections(&mut self, n: u64) {
+        self.routing_queue.record_rejections(n);
+        self.stats.routing_rejections += n;
     }
 
     /// Whether any task is still in flight inside Picos.

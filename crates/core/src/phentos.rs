@@ -20,7 +20,7 @@
 //! The only simulated-memory data structures are therefore the metadata array, the shared
 //! retirement counter and the done flag; everything else is per-core state.
 
-use tis_machine::fabric::{FabricOutcome, SchedulerFabric};
+use tis_machine::fabric::{FabricOutcome, IdlePoll, SchedulerFabric};
 use tis_machine::{CoreCtx, CoreStatus, RuntimeSystem};
 use tis_obs::TaskStage;
 use tis_picos::encode_prefix_into;
@@ -80,6 +80,9 @@ struct WorkerState {
     outstanding_requests: u32,
     /// The worker observed the done flag and terminated.
     finished: bool,
+    /// The worker's last step was a failed poll it repeats unchanged while the fabric keeps
+    /// refusing it (see [`RuntimeSystem::idle_poll`]).
+    idle_poll: Option<IdlePoll>,
 }
 
 /// The Phentos runtime plugged into the machine engine.
@@ -168,7 +171,8 @@ impl Phentos {
     /// Returns `true` if a task was executed.
     fn try_execute_one(&mut self, ctx: &mut CoreCtx<'_>, fabric: &mut dyn SchedulerFabric) -> bool {
         let core = ctx.core();
-        if self.workers[core].outstanding_requests == 0 {
+        let requested = self.workers[core].outstanding_requests == 0;
+        if requested {
             let (lat, out) = fabric.ready_task_request(core, ctx.now());
             ctx.spend(lat);
             if out.is_success() {
@@ -177,7 +181,14 @@ impl Phentos {
         }
         let (lat, out) = fabric.fetch_sw_id(core, ctx.now());
         ctx.spend(lat);
-        let FabricOutcome::Success(sw_id) = out else { return false };
+        let FabricOutcome::Success(sw_id) = out else {
+            // The next poll repeats this one unless a request just went through.
+            let accepted = requested && self.workers[core].outstanding_requests > 0;
+            if !accepted {
+                self.workers[core].idle_poll = Some(IdlePoll { rejected_request: requested });
+            }
+            return false;
+        };
         let (lat, out) = fabric.fetch_picos_id(core, ctx.now());
         ctx.spend(lat);
         let FabricOutcome::Success(picos_id) = out else { return false };
@@ -316,15 +327,18 @@ impl Phentos {
         if self.workers[core].finished {
             return CoreStatus::Finished;
         }
+        self.workers[core].idle_poll = None;
         if self.try_execute_one(ctx, fabric) {
             return CoreStatus::Progressed;
         }
         self.workers[core].failures_since_flush += 1;
-        if self.workers[core].private_retired > 0
-            && self.workers[core].failures_since_flush >= self.cfg.flush_after_failures
-        {
-            self.flush_private(ctx);
-            return CoreStatus::Progressed;
+        if self.workers[core].private_retired > 0 {
+            // A later poll flushes the retirements instead of repeating this one.
+            self.workers[core].idle_poll = None;
+            if self.workers[core].failures_since_flush >= self.cfg.flush_after_failures {
+                self.flush_private(ctx);
+                return CoreStatus::Progressed;
+            }
         }
         if self.done {
             // Observe the done flag (a real read of the shared line) and terminate.
@@ -367,6 +381,20 @@ impl RuntimeSystem for Phentos {
 
     fn tenant_reports(&self) -> Vec<tis_taskmodel::TenantReport> {
         self.source.tenant_reports()
+    }
+
+    /// A worker with nothing to flush whose poll failed at *Fetch SW ID*. The main thread
+    /// never qualifies: its polls read the shared retirement counter.
+    fn idle_poll(&self, core: usize) -> Option<IdlePoll> {
+        if core == 0 {
+            return None;
+        }
+        self.workers[core].idle_poll
+    }
+
+    fn charge_idle_polls(&mut self, core: usize, n: u64) {
+        let w = &mut self.workers[core];
+        w.failures_since_flush = w.failures_since_flush.saturating_add(u32::try_from(n).unwrap_or(u32::MAX));
     }
 }
 
@@ -485,6 +513,60 @@ mod tests {
         big.spawn(Payload::empty(), (0..15u64).map(|i| Dependence::write(i * 64)).collect());
         assert_eq!(Phentos::new(&small.build(), 2, PhentosConfig::default()).metadata_element_bytes(), 64);
         assert_eq!(Phentos::new(&big.build(), 2, PhentosConfig::default()).metadata_element_bytes(), 128);
+    }
+
+    #[test]
+    fn workers_whose_ready_request_was_rejected_report_an_idle_poll_too() {
+        use crate::fabric::TisConfig;
+        use crate::manager::ManagerConfig;
+        /// Forwards Phentos and records the idle polls its agents report after each step.
+        struct Probe {
+            inner: Phentos,
+            seen: Vec<(usize, IdlePoll)>,
+        }
+        impl RuntimeSystem for Probe {
+            fn name(&self) -> &'static str {
+                self.inner.name()
+            }
+            fn step_core(&mut self, ctx: &mut CoreCtx<'_>, fabric: &mut dyn SchedulerFabric) -> CoreStatus {
+                let status = self.inner.step_core(ctx, fabric);
+                if let Some(poll) = self.inner.idle_poll(ctx.core()) {
+                    assert!(matches!(status, CoreStatus::Waiting { .. }), "an idle poll backs off");
+                    self.seen.push((ctx.core(), poll));
+                }
+                status
+            }
+            fn is_finished(&self) -> bool {
+                self.inner.is_finished()
+            }
+            fn exec_records(&self) -> Vec<ExecRecord> {
+                self.inner.exec_records()
+            }
+            fn tasks_retired(&self) -> u64 {
+                self.inner.tasks_retired()
+            }
+        }
+        // One routing slot for three workers: at most one holds a request, the others' are
+        // rejected poll after poll.
+        let mut b = ProgramBuilder::new("few");
+        for i in 0..6u64 {
+            b.spawn(Payload::compute(20_000), vec![Dependence::write(0x9_0000 + i * 64)]);
+        }
+        b.taskwait();
+        let p = b.build();
+        let tis = TisConfig {
+            manager: ManagerConfig { routing_queue_depth: 1, ..ManagerConfig::default() },
+            ..TisConfig::default()
+        };
+        let mut probe = Probe { inner: Phentos::new(&p, 4, PhentosConfig::default()), seen: Vec::new() };
+        run_machine(&MachineConfig::rocket_with_cores(4), &mut probe, &mut TisFabric::new(4, tis)).unwrap();
+        assert!(probe.seen.iter().all(|&(core, _)| core != 0), "the main thread never parks");
+        for rejected_request in [false, true] {
+            assert!(
+                probe.seen.iter().any(|&(_, poll)| poll == IdlePoll { rejected_request }),
+                "no idle poll with rejected_request = {rejected_request}"
+            );
+        }
     }
 
     #[test]

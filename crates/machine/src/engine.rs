@@ -6,6 +6,11 @@
 //! operations against. The run ends when the [`RuntimeSystem`] declares the program finished, or
 //! with an error if no agent makes progress (a genuine deadlock, e.g. when the blocking-
 //! instruction ablation of Section IV-C is enabled) or the configured cycle cap is exceeded.
+//!
+//! An agent whose step was an [`IdlePoll`] — a failed request for work that it repeats
+//! unchanged — is *parked*: the engine skips its repeats while the fabric stays quiet for its
+//! core and charges them in closed form, with exactly the stepwise result (see
+//! [`RuntimeSystem::idle_poll`] and [`SchedulerFabric::quiet_horizon`]).
 
 use tis_mem::{BandwidthModel, FaultDiagnosis, MemorySystem};
 use tis_obs::{MemEvent, MetricsSample, Observer, TaskEvent, TaskStage};
@@ -13,7 +18,7 @@ use tis_sim::Cycle;
 
 use crate::config::MachineConfig;
 use crate::context::{CoreCtx, CoreStats};
-use crate::fabric::SchedulerFabric;
+use crate::fabric::{IdlePoll, SchedulerFabric};
 use crate::report::ExecutionReport;
 use tis_taskmodel::ExecRecord;
 
@@ -70,6 +75,19 @@ pub trait RuntimeSystem {
     fn tenant_reports(&self) -> Vec<tis_taskmodel::TenantReport> {
         Vec::new()
     }
+
+    /// Whether the step just taken on `core` was an [`IdlePoll`] that the agent repeats
+    /// unchanged while the fabric keeps refusing it: it spent only the latencies of its fabric
+    /// operations plus the `Waiting` backoff, touched no memory, changed no state the next step
+    /// depends on, and the next step issues the same operations. The engine then skips the
+    /// repeats the fabric declares quiet. The default, `None`, steps every poll.
+    fn idle_poll(&self, _core: usize) -> Option<IdlePoll> {
+        None
+    }
+
+    /// Accounts `n` skipped repeats of `core`'s idle poll in the agent's own state, exactly as
+    /// if each had been stepped.
+    fn charge_idle_polls(&mut self, _core: usize, _n: u64) {}
 }
 
 /// Errors terminating a simulation without a result.
@@ -206,6 +224,145 @@ fn build_sample(
     }
 }
 
+/// A core whose repeated [`IdlePoll`]s the engine skips instead of stepping.
+#[derive(Debug, Clone, Copy)]
+struct Parked {
+    poll: IdlePoll,
+    /// Start cycle of the earliest skipped poll not yet charged.
+    next: Cycle,
+    /// Cycles from one poll's start to the next.
+    period: Cycle,
+    /// Runtime cycles each poll spends on its fabric operations; the rest of the period is
+    /// idle backoff.
+    busy: Cycle,
+}
+
+impl Parked {
+    /// Start cycle of the first poll at or after `t`.
+    fn poll_at_or_after(&self, t: Cycle) -> Cycle {
+        if t <= self.next {
+            return self.next;
+        }
+        let k = (t - self.next).div_ceil(self.period);
+        self.next.saturating_add(k.saturating_mul(self.period))
+    }
+
+    /// Charges the skipped polls that start before `until`, as their steps would have.
+    fn charge(
+        &mut self,
+        core: usize,
+        until: Cycle,
+        stats: &mut CoreStats,
+        runtime: &mut dyn RuntimeSystem,
+        fabric: &mut dyn SchedulerFabric,
+    ) {
+        if until <= self.next {
+            return;
+        }
+        let n = (until - self.next).div_ceil(self.period);
+        stats.runtime_cycles += n * self.busy;
+        stats.idle_cycles += n * (self.period - self.busy);
+        runtime.charge_idle_polls(core, n);
+        fabric.charge_failed_polls(core, self.poll, n);
+        self.next += n * self.period;
+    }
+}
+
+/// First cycle at which a poll by `core` comes after the step `stepped` took at `now` in the
+/// engine's order: the laggard steps first, ties going to the lowest core.
+fn first_after(core: usize, now: Cycle, stepped: usize) -> Cycle {
+    if core < stepped {
+        now + 1
+    } else {
+        now
+    }
+}
+
+/// Idle-poll parking. A core whose last step was an [`IdlePoll`] is not stepped again until
+/// its first poll at or after the earliest of the fabric's quiet horizon for it, the next
+/// metrics-sample boundary, the cycle cap and the watchdog bound. Its `core_time` holds that
+/// wake poll, so the laggard order is the stepwise one.
+///
+/// The result is exact. A skipped poll fails without changing anything another core can see,
+/// so every other step happens as it would have. Another core's step can change what a
+/// parked core's polls would see, so every step re-derives every parked core's wake poll.
+/// Skipped polls are charged in closed form when their core wakes and, for every parked core,
+/// before each metrics sample, on an error and at the end of the run: each time exactly the
+/// polls that precede the current step in engine order.
+struct Parking {
+    cores: Vec<Option<Parked>>,
+    count: usize,
+}
+
+impl Parking {
+    fn new(cores: usize) -> Self {
+        Parking { cores: vec![None; cores], count: 0 }
+    }
+
+    /// Unparks `core`, whose wake poll at `now` the engine is about to step, charging the
+    /// polls it skipped before it.
+    fn wake(
+        &mut self,
+        core: usize,
+        now: Cycle,
+        stats: &mut CoreStats,
+        runtime: &mut dyn RuntimeSystem,
+        fabric: &mut dyn SchedulerFabric,
+    ) {
+        if let Some(mut p) = self.cores[core].take() {
+            self.count -= 1;
+            p.charge(core, now, stats, runtime, fabric);
+        }
+    }
+
+    /// After the step `stepped` took at `now`: re-derives every parked core's wake poll, then
+    /// parks `stepped` if its step was the `idle` poll. No wake is later than `bound`.
+    fn update(
+        &mut self,
+        now: Cycle,
+        stepped: usize,
+        idle: Option<Parked>,
+        bound: Cycle,
+        core_time: &mut [Cycle],
+        fabric: &dyn SchedulerFabric,
+    ) {
+        for (core, slot) in self.cores.iter().enumerate() {
+            if let Some(p) = slot {
+                let quiet = fabric.quiet_horizon(core, p.poll).min(bound);
+                core_time[core] = p.poll_at_or_after(quiet.max(first_after(core, now, stepped)));
+            }
+        }
+        if let Some(p) = idle {
+            let wake = p.poll_at_or_after(fabric.quiet_horizon(stepped, p.poll).min(bound));
+            if wake > p.next {
+                core_time[stepped] = wake;
+                self.cores[stepped] = Some(p);
+                self.count += 1;
+            }
+        }
+    }
+
+    /// Charges every parked core's skipped polls that come before the step `stepped` took at
+    /// `now`.
+    fn settle(
+        &mut self,
+        now: Cycle,
+        stepped: usize,
+        stats: &mut [CoreStats],
+        runtime: &mut dyn RuntimeSystem,
+        fabric: &mut dyn SchedulerFabric,
+    ) {
+        if self.count == 0 {
+            return;
+        }
+        for (core, slot) in self.cores.iter_mut().enumerate() {
+            if let Some(p) = slot {
+                p.charge(core, first_after(core, now, stepped), &mut stats[core], runtime, fabric);
+            }
+        }
+    }
+}
+
 fn run_machine_inner(
     cfg: &MachineConfig,
     runtime: &mut dyn RuntimeSystem,
@@ -237,6 +394,9 @@ fn run_machine_inner(
     let mut core_stats: Vec<CoreStats> = vec![CoreStats::default(); cores];
     let mut finished: Vec<bool> = vec![false; cores];
     let mut last_progress: Cycle = 0;
+    let mut parking = Parking::new(cores);
+    // The last step taken, `(now, core)`: parked cores are charged up to it when the run ends.
+    let mut last_step: Option<(Cycle, usize)> = None;
     // Debug builds audit the memory system's global invariants (SWMR, directory precision)
     // every few thousand steps, catching a corrupted sharer set mid-run instead of at the
     // end of a property test. Stride-based so the check stays off the per-step hot path;
@@ -263,13 +423,16 @@ fn run_machine_inner(
             return Err(EngineError::AllAgentsFinishedEarly { runtime: runtime.name().to_string() });
         };
         let now = core_time[core];
+        parking.wake(core, now, &mut core_stats[core], runtime, fabric);
         if now > cfg.max_cycles {
+            parking.settle(now, core, &mut core_stats, runtime, fabric);
             return Err(EngineError::CycleLimitExceeded {
                 limit: cfg.max_cycles,
                 runtime: runtime.name().to_string(),
             });
         }
         if now.saturating_sub(last_progress) > watchdog_window {
+            parking.settle(now, core, &mut core_stats, runtime, fabric);
             return Err(EngineError::NoProgress { cycle: now, runtime: runtime.name().to_string() });
         }
 
@@ -284,6 +447,7 @@ fn run_machine_inner(
             status = runtime.step_core(&mut ctx, fabric);
             end_time = ctx.finish();
         }
+        last_step = Some((now, core));
         if let Some(o) = obs.as_deref_mut() {
             // Device-side dependence resolutions surface through the fabric's ready log: the
             // scheduler, not a core, crossed these tasks into Ready.
@@ -300,11 +464,14 @@ fn run_machine_inner(
                 });
             });
             if now >= next_sample {
+                parking.settle(now, core, &mut core_stats, runtime, fabric);
                 o.on_sample(&build_sample(now, fabric, &core_stats, &mem));
                 let interval = sample_interval.unwrap_or(Cycle::MAX);
                 next_sample = (now / interval + 1).saturating_mul(interval);
             }
         }
+        // The step as a parkable poll, if it was one: it repeats from `resume` on.
+        let mut idle = None;
         match status {
             CoreStatus::Progressed => {
                 // Guarantee forward motion even if the agent forgot to spend cycles.
@@ -315,6 +482,12 @@ fn run_machine_inner(
                 let resume = until.max(end_time).max(now + 1);
                 core_stats[core].idle_cycles += resume - end_time;
                 core_time[core] = resume;
+                idle = runtime.idle_poll(core).map(|poll| Parked {
+                    poll,
+                    next: resume,
+                    period: resume - now,
+                    busy: end_time - now,
+                });
             }
             CoreStatus::Finished => {
                 core_time[core] = end_time.max(now);
@@ -325,6 +498,7 @@ fn run_machine_inner(
         // A dead-link diagnosis recorded during this step means some message can never be
         // delivered: abort with the detector's report instead of spinning until the watchdog.
         if let Some(diagnosis) = mem.fault_diagnosis() {
+            parking.settle(now, core, &mut core_stats, runtime, fabric);
             let retired = runtime.tasks_retired();
             let submitted = fabric.stats().tasks_submitted;
             return Err(EngineError::UnrecoverableFault {
@@ -334,6 +508,24 @@ fn run_machine_inner(
                 tasks_blocked: submitted.saturating_sub(retired),
                 runtime: runtime.name().to_string(),
             });
+        }
+        if parking.count > 0 || idle.is_some() {
+            // A parked core must step for real at its first poll that would take a metrics
+            // sample, pass the cycle cap or trip the watchdog.
+            let bound = next_sample
+                .min(cfg.max_cycles.saturating_add(1))
+                .min(last_progress.saturating_add(watchdog_window).saturating_add(1));
+            parking.update(now, core, idle, bound, &mut core_time, fabric);
+        }
+    }
+    // Parked cores end where stepping them would have left them: at their first poll after
+    // the last step.
+    if let Some((now, stepped)) = last_step {
+        parking.settle(now, stepped, &mut core_stats, runtime, fabric);
+        for (c, slot) in parking.cores.iter().enumerate() {
+            if let Some(p) = slot {
+                core_time[c] = p.next;
+            }
         }
     }
 

@@ -45,6 +45,16 @@ impl<T> FabricOutcome<T> {
     }
 }
 
+/// A failed work poll that a runtime repeats unchanged for as long as the fabric keeps
+/// refusing it: one failed *Fetch SW ID*, preceded by a *Ready Task Request* when
+/// `rejected_request` is set, which the fabric rejected. The engine may skip such polls while
+/// the fabric is quiet for the polling core (see [`SchedulerFabric::quiet_horizon`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdlePoll {
+    /// Each poll issues a *Ready Task Request* before its fetch, and the request fails.
+    pub rejected_request: bool,
+}
+
 /// Aggregate statistics of a fabric implementation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FabricStats {
@@ -125,6 +135,20 @@ pub trait SchedulerFabric {
     fn occupancy(&self) -> (usize, usize) {
         (0, 0)
     }
+
+    /// Earliest start cycle from which a repeat of `poll` by `core` might not fail exactly as
+    /// the last one did, or might change fabric state, if no other core issues an operation
+    /// first. Repeats starting earlier are pure failures, so the engine may skip them and
+    /// account them through [`SchedulerFabric::charge_failed_polls`]. The default, `0`, never
+    /// lets a poll be skipped.
+    fn quiet_horizon(&self, _core: CoreId, _poll: IdlePoll) -> Cycle {
+        0
+    }
+
+    /// Accounts `n` skipped repeats of `poll` by `core` exactly as if each had been issued
+    /// and had failed. Only called for polls [`SchedulerFabric::quiet_horizon`] declared
+    /// quiet.
+    fn charge_failed_polls(&mut self, _core: CoreId, _poll: IdlePoll, _n: u64) {}
 }
 
 /// A fabric with no hardware behind it: every operation fails immediately.

@@ -43,7 +43,7 @@ pub use tis_mem::{
 };
 pub use cost::CostModel;
 pub use engine::{run_machine, run_machine_observed, CoreStatus, EngineError, RuntimeSystem};
-pub use fabric::{FabricStats, NullFabric, SchedulerFabric};
+pub use fabric::{FabricStats, IdlePoll, NullFabric, SchedulerFabric};
 pub use report::{
     mtt_speedup_bound, mtt_speedup_bound_from_throughput, CoreUtilisation, ExecutionReport,
     TaskLifetimeBreakdown,

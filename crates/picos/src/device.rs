@@ -212,6 +212,21 @@ impl Picos {
         }
     }
 
+    /// Earliest cycle at which [`Picos::advance`] or [`Picos::pop_ready`] could change the
+    /// device: a retirement completing, a pending descriptor publishing into a ready queue with
+    /// room, or the ready queue's front becoming visible. Calls at earlier cycles change
+    /// nothing. `Cycle::MAX` when nothing is pending.
+    pub fn quiet_horizon(&self) -> Cycle {
+        let mut h = self.pending_retire.next_due().unwrap_or(Cycle::MAX);
+        if let Some(front) = self.ready_queue.front() {
+            h = h.min(front.available_at);
+        }
+        if !self.ready_queue.is_full() {
+            h = h.min(self.pending_ready.next_due().unwrap_or(Cycle::MAX));
+        }
+        h
+    }
+
     /// Submits a complete task descriptor at cycle `now`.
     ///
     /// Returns the assigned Picos ID and the cycle at which the accelerator finishes absorbing

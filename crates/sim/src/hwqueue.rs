@@ -87,6 +87,12 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
+    /// Counts `n` pushes that a full queue rejected without replaying them: the bulk
+    /// accounting of identical refused pushes that were skipped.
+    pub fn record_rejections(&mut self, n: u64) {
+        self.rejected += n;
+    }
+
     /// Dequeues the oldest element, if any.
     pub fn pop(&mut self) -> Option<T> {
         self.items.pop_front()
