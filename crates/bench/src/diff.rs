@@ -8,7 +8,7 @@
 //! reported but never gates. The `bench-diff` binary turns this into a human-readable report
 //! and a CI exit code.
 
-use crate::json::Json;
+use crate::Json;
 
 /// Which direction of change is an improvement for a metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

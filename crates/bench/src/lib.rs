@@ -11,17 +11,17 @@
 #![warn(missing_docs)]
 
 pub mod diff;
-pub mod json;
 
-pub use json::{Json, JsonParseError};
+pub use tis_sim::json::{Json, JsonParseError};
 
 use tis_core::{PhentosConfig, Phentos, TisConfig, TisFabric};
 use tis_machine::{
     run_machine, run_machine_observed, EngineError, ExecutionReport, MachineConfig, NullFabric,
+    RuntimeSystem, SchedulerFabric,
 };
 use tis_nanos::{AxiConfig, AxiFabric, Nanos, NanosTuning, NanosVariant};
 use tis_sim::geomean;
-use tis_taskmodel::{TaskProgram, TaskSource, TenantRunData, TenantSource};
+use tis_taskmodel::{MaterializedSource, TaskProgram, TaskSource, TenantRunData, TenantSource};
 use tis_workloads::{paper_catalog, task_chain, task_free, WorkloadInstance};
 
 /// The four Task Scheduling platforms compared throughout the paper's evaluation.
@@ -142,8 +142,12 @@ impl Harness {
     /// # Errors
     ///
     /// Propagates any [`EngineError`] (deadlock / cycle-cap) from the simulation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program fails validation (a workload-generator bug).
     pub fn run(&self, platform: Platform, program: &TaskProgram) -> Result<ExecutionReport, EngineError> {
-        self.run_inner(platform, program, None)
+        self.run_program(platform, program, None)
     }
 
     /// [`Harness::run`] with an observer attached (see
@@ -160,7 +164,7 @@ impl Harness {
         program: &TaskProgram,
         obs: &mut dyn tis_obs::Observer,
     ) -> Result<ExecutionReport, EngineError> {
-        self.run_inner(platform, program, Some(obs))
+        self.run_program(platform, program, Some(obs))
     }
 
     /// Runs a streamed workload ([`TaskSource`]) on the given platform.
@@ -185,33 +189,7 @@ impl Harness {
         source: Box<dyn TaskSource>,
         collect_records: bool,
     ) -> Result<ExecutionReport, EngineError> {
-        let cores = self.machine.cores;
-        match platform {
-            Platform::Phentos => {
-                let mut runtime = Phentos::from_source(source, cores, self.phentos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = TisFabric::new(cores, self.tis);
-                run_machine(&self.machine, &mut runtime, &mut fabric)
-            }
-            Platform::NanosRv => {
-                let mut runtime = Nanos::from_source(source, cores, NanosVariant::PicosRocc, self.nanos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = TisFabric::new(cores, self.tis);
-                run_machine(&self.machine, &mut runtime, &mut fabric)
-            }
-            Platform::NanosAxi => {
-                let mut runtime = Nanos::from_source(source, cores, NanosVariant::PicosAxi, self.nanos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = AxiFabric::new(cores, self.axi);
-                run_machine(&self.machine, &mut runtime, &mut fabric)
-            }
-            Platform::NanosSw => {
-                let mut runtime = Nanos::from_source(source, cores, NanosVariant::Software, self.nanos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = NullFabric::new();
-                run_machine(&self.machine, &mut runtime, &mut fabric)
-            }
-        }
+        self.execute(platform, source, collect_records, None, |_| ()).map(|(report, ())| report)
     }
 
     /// Runs a multi-tenant co-scheduled workload ([`TenantSource`]) on the given platform,
@@ -238,56 +216,18 @@ impl Harness {
         platform: Platform,
         source: TenantSource,
         collect_records: bool,
-        mut obs: Option<&mut dyn tis_obs::Observer>,
+        obs: Option<&mut dyn tis_obs::Observer>,
     ) -> Result<(ExecutionReport, TenantRunData), EngineError> {
-        let cores = self.machine.cores;
-        let boxed: Box<dyn TaskSource> = Box::new(source);
-        let mut launch = |runtime: &mut dyn tis_machine::RuntimeSystem,
-                          fabric: &mut dyn tis_machine::SchedulerFabric| {
-            match obs.as_deref_mut() {
-                Some(o) => run_machine_observed(&self.machine, runtime, fabric, o),
-                None => run_machine(&self.machine, runtime, fabric),
-            }
-        };
-        let take = |src: &mut dyn TaskSource| -> TenantRunData {
-            src.as_any_mut()
+        self.execute(platform, Box::new(source), collect_records, obs, |source| {
+            source
+                .as_any_mut()
                 .and_then(|any| any.downcast_mut::<TenantSource>())
                 .map(TenantSource::take_run_data)
                 .expect("run_tenants runtime must hold a TenantSource")
-        };
-        match platform {
-            Platform::Phentos => {
-                let mut runtime = Phentos::from_source(boxed, cores, self.phentos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = TisFabric::new(cores, self.tis);
-                let report = launch(&mut runtime, &mut fabric)?;
-                Ok((report, take(runtime.source_mut())))
-            }
-            Platform::NanosRv => {
-                let mut runtime = Nanos::from_source(boxed, cores, NanosVariant::PicosRocc, self.nanos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = TisFabric::new(cores, self.tis);
-                let report = launch(&mut runtime, &mut fabric)?;
-                Ok((report, take(runtime.source_mut())))
-            }
-            Platform::NanosAxi => {
-                let mut runtime = Nanos::from_source(boxed, cores, NanosVariant::PicosAxi, self.nanos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = AxiFabric::new(cores, self.axi);
-                let report = launch(&mut runtime, &mut fabric)?;
-                Ok((report, take(runtime.source_mut())))
-            }
-            Platform::NanosSw => {
-                let mut runtime = Nanos::from_source(boxed, cores, NanosVariant::Software, self.nanos);
-                runtime.set_collect_records(collect_records);
-                let mut fabric = NullFabric::new();
-                let report = launch(&mut runtime, &mut fabric)?;
-                Ok((report, take(runtime.source_mut())))
-            }
-        }
+        })
     }
 
-    fn run_inner(
+    fn run_program(
         &self,
         platform: Platform,
         program: &TaskProgram,
@@ -300,37 +240,66 @@ impl Harness {
         if let Err(e) = tis_analyze::analyze_program(program) {
             panic!("program failed preflight before simulation: {e}");
         }
+        program.validate().expect("program must satisfy the descriptor constraints");
+        let source = Box::new(MaterializedSource::new(program));
+        self.execute(platform, source, true, obs, |_| ()).map(|(report, ())| report)
+    }
+
+    /// The harness's one platform-instantiation point: builds the platform's runtime over
+    /// `source` and its scheduling fabric, simulates them (observed when `obs` is given), and
+    /// hands the runtime's source to `finish` once the run is over.
+    fn execute<T>(
+        &self,
+        platform: Platform,
+        source: Box<dyn TaskSource>,
+        collect_records: bool,
+        obs: Option<&mut dyn tis_obs::Observer>,
+        finish: impl FnOnce(&mut dyn TaskSource) -> T,
+    ) -> Result<(ExecutionReport, T), EngineError> {
         let cores = self.machine.cores;
-        let launch = |runtime: &mut dyn tis_machine::RuntimeSystem,
-                      fabric: &mut dyn tis_machine::SchedulerFabric| {
-            match obs {
-                Some(o) => run_machine_observed(&self.machine, runtime, fabric, o),
-                None => run_machine(&self.machine, runtime, fabric),
-            }
+        let nanos = |source, variant| {
+            Runtime::Nanos(Box::new(Nanos::from_source(source, cores, variant, self.nanos)))
         };
-        match platform {
-            Platform::Phentos => {
-                let mut runtime = Phentos::new(program, cores, self.phentos);
-                let mut fabric = TisFabric::new(cores, self.tis);
-                launch(&mut runtime, &mut fabric)
-            }
+        let (mut runtime, mut fabric): (Runtime, Box<dyn SchedulerFabric>) = match platform {
+            Platform::Phentos => (
+                Runtime::Phentos(Box::new(Phentos::from_source(source, cores, self.phentos))),
+                Box::new(TisFabric::new(cores, self.tis)),
+            ),
             Platform::NanosRv => {
-                let mut runtime = Nanos::new(program, cores, NanosVariant::PicosRocc, self.nanos);
-                let mut fabric = TisFabric::new(cores, self.tis);
-                launch(&mut runtime, &mut fabric)
+                (nanos(source, NanosVariant::PicosRocc), Box::new(TisFabric::new(cores, self.tis)))
             }
             Platform::NanosAxi => {
-                let mut runtime = Nanos::new(program, cores, NanosVariant::PicosAxi, self.nanos);
-                let mut fabric = AxiFabric::new(cores, self.axi);
-                launch(&mut runtime, &mut fabric)
+                (nanos(source, NanosVariant::PicosAxi), Box::new(AxiFabric::new(cores, self.axi)))
             }
-            Platform::NanosSw => {
-                let mut runtime = Nanos::new(program, cores, NanosVariant::Software, self.nanos);
-                let mut fabric = NullFabric::new();
-                launch(&mut runtime, &mut fabric)
+            Platform::NanosSw => (nanos(source, NanosVariant::Software), Box::new(NullFabric::new())),
+        };
+        let system: &mut dyn RuntimeSystem = match &mut runtime {
+            Runtime::Phentos(r) => {
+                r.set_collect_records(collect_records);
+                &mut **r
             }
-        }
+            Runtime::Nanos(r) => {
+                r.set_collect_records(collect_records);
+                &mut **r
+            }
+        };
+        let report = match obs {
+            Some(o) => run_machine_observed(&self.machine, system, fabric.as_mut(), o),
+            None => run_machine(&self.machine, system, fabric.as_mut()),
+        }?;
+        let source = match &mut runtime {
+            Runtime::Phentos(r) => r.source_mut(),
+            Runtime::Nanos(r) => r.source_mut(),
+        };
+        Ok((report, finish(source)))
     }
+}
+
+/// The runtime [`Harness::execute`] built. Phentos and Nanos share no trait that hands their
+/// source back after a run, so the executor keeps the concrete runtime.
+enum Runtime {
+    Phentos(Box<Phentos>),
+    Nanos(Box<Nanos>),
 }
 
 impl Default for Harness {

@@ -14,7 +14,7 @@ use std::sync::Mutex;
 use tis_bench::{measure_lifetime_overhead, measure_task_throughput, Harness};
 use tis_machine::{mtt_speedup_bound_from_throughput, FaultConfig};
 use tis_sim::SimRng;
-use tis_taskmodel::{MaterializedSource, TenantSet, TenantTrackerPolicy};
+use tis_taskmodel::{MaterializedSource, TaskProgram, TenantSet, TenantSource, TenantTrackerPolicy};
 use tis_workloads::task_chain;
 
 use crate::grid::{CellSpec, Sweep, TenantScenario};
@@ -171,16 +171,18 @@ pub fn run_sweep_with_workers(sweep: &Sweep, workers: usize) -> SweepReport {
     }
 }
 
-/// Evaluates one cell on its grid point's shared program.
-fn run_cell(
-    sweep: &Sweep,
-    cell: &CellSpec,
-    program: &tis_taskmodel::TaskProgram,
-    probes: &SchedulerProbes,
-) -> SweepCell {
-    if let Some(scenario) = sweep.tenants[cell.tenant] {
-        return run_tenant_cell(sweep, cell, program, probes, scenario);
-    }
+/// Evaluates one cell over its list of programs: the grid point's shared program alone for a
+/// plain cell, or, for a co-scheduled cell, that program as tenant 0 followed by tenants
+/// `1..n`, independent instances of the same workload spec drawn from per-tenant substreams of
+/// the cell RNG. The 1-tenant batch/shared scenario is the degenerate case, pinned
+/// cycle-identical to the plain cell. Every cell replays bit-exactly from
+/// `(sweep seed, cell coordinates)` alone.
+///
+/// Schedule validation and race detection run on plain cells only: both check against a single
+/// program's reference graph, and a merged run's global task IDs span all tenants. The
+/// per-tenant critical paths (observed cells) cover the merged run instead.
+fn run_cell(sweep: &Sweep, cell: &CellSpec, program: &TaskProgram, probes: &SchedulerProbes) -> SweepCell {
+    let scenario = sweep.tenants[cell.tenant];
     let lifetime_overhead = probes.lifetime_overhead(sweep, cell);
     let tasks_per_cycle = probes.throughput(sweep, cell);
     let spec = &sweep.workloads[cell.workload];
@@ -204,10 +206,11 @@ fn run_cell(
         .with_faults(fault);
     let context = || {
         format!(
-            "sweep '{}' cell {}: {} on {} cores, {}, {}, {}, fault {}",
+            "sweep '{}' cell {}: {}{} on {} cores, {}, {}, {}, fault {}",
             sweep.name,
             cell.index,
             spec.label(),
+            scenario.map(|s| format!(" ({})", s.key())).unwrap_or_default(),
             cell.cores,
             memory.label(),
             platform.label(),
@@ -215,237 +218,111 @@ fn run_cell(
             fault.key()
         )
     };
+    let co_tenants: Vec<TaskProgram> = (1..scenario.map_or(1, |s| s.tenants))
+        .map(|t| {
+            let mut rng = sweep.cell_rng(cell.workload, cell.cores).stream("tenant", t as u64);
+            spec.instantiate(cell.cores, &mut rng)
+        })
+        .collect();
+    let programs: Vec<&TaskProgram> = std::iter::once(program).chain(&co_tenants).collect();
     // An observed cell runs with a recorder attached through the engine's observer
     // chokepoint. Observation is a pure tap — the simulated cycle counts are identical either
     // way (`observing_a_sweep_changes_no_measurement` pins this) — so observed and unobserved
     // cells of one report remain directly comparable.
     let cell_obs = sweep.cell_obs(cell.index);
     let mut recorder = cell_obs.map(tis_obs::Recorder::new);
-    let report = match recorder.as_mut() {
-        Some(r) => harness.run_observed(platform, program, r),
-        None => harness.run(platform, program),
+    let observer = recorder.as_mut().map(|r| r as &mut dyn tis_obs::Observer);
+    let (report, run_data) = match scenario {
+        None => match observer {
+            Some(o) => harness.run_observed(platform, program, o),
+            None => harness.run(platform, program),
+        }
+        .map(|report| (report, None)),
+        Some(scenario) => {
+            let source = tenant_source(sweep, cell, scenario, &programs);
+            harness.run_tenants(platform, source, false, observer).map(|(r, data)| (r, Some(data)))
+        }
     }
     .unwrap_or_else(|e| panic!("{} failed: {e}", context()));
-    if sweep.validate {
-        report
-            .validate_against(program)
-            .unwrap_or_else(|e| panic!("{} produced an invalid schedule: {e}", context()));
-    }
-    // Dynamic race check over the dispatch/retire trace. A detected race means the
-    // platform executed a conflicting pair without a happens-before path — like a
-    // validation failure, that is a bug to surface, not a data point to record.
-    let race_pairs_checked = if sweep.analysis.races {
-        let spec_graph = tis_analyze::GraphSpec::from_program(program);
-        let analysis = tis_analyze::detect_races(&spec_graph, &report.records);
-        if !analysis.is_race_free() {
-            let mut detail = String::new();
-            for race in &analysis.races {
-                detail.push_str(&format!("\n  {race}"));
-            }
-            panic!(
-                "{} raced ({} of {} conflicting pairs unordered, {} unrecorded):{detail}",
-                context(),
-                analysis.races.len(),
-                analysis.pairs_checked,
-                analysis.pairs_skipped
-            );
+    let mut race_pairs_checked = 0;
+    if scenario.is_none() {
+        if sweep.validate {
+            report
+                .validate_against(program)
+                .unwrap_or_else(|e| panic!("{} produced an invalid schedule: {e}", context()));
         }
-        analysis.pairs_checked as u64
-    } else {
-        0
-    };
-    // Fold the recorder into the cell: critical path over the program's happens-before edges
+        // Dynamic race check over the dispatch/retire trace. A detected race means the
+        // platform executed a conflicting pair without a happens-before path — like a
+        // validation failure, that is a bug to surface, not a data point to record.
+        if sweep.analysis.races {
+            let spec_graph = tis_analyze::GraphSpec::from_program(program);
+            let analysis = tis_analyze::detect_races(&spec_graph, &report.records);
+            if !analysis.is_race_free() {
+                let mut detail = String::new();
+                for race in &analysis.races {
+                    detail.push_str(&format!("\n  {race}"));
+                }
+                panic!(
+                    "{} raced ({} of {} conflicting pairs unordered, {} unrecorded):{detail}",
+                    context(),
+                    analysis.races.len(),
+                    analysis.pairs_checked,
+                    analysis.pairs_skipped
+                );
+            }
+            race_pairs_checked = analysis.pairs_checked as u64;
+        }
+    }
+    // Fold the recorder into the cell: critical path over the run's happens-before edges
     // (the same edges the race detector walks), plus the rendered trace/metrics documents.
     let obs = recorder.map(|r| {
-        let edges = tis_analyze::GraphSpec::from_program(program).edges;
+        let edges: Vec<Vec<(usize, usize)>> =
+            programs.iter().map(|p| tis_analyze::GraphSpec::from_program(p).edges).collect();
         let label = format!("{} cell {} ({})", sweep.name, cell.index, spec.label());
-        Box::new(ObsCellData {
-            config: cell_obs.expect("a recorder implies an engaged obs config"),
-            task_events: r.task_events(),
-            samples: r.metrics().samples().len() as u64,
-            critical: r.critical_path(&edges, report.total_cycles),
-            tenant_critical: Vec::new(),
-            trace_json: r.perfetto_json(&label, cell.cores).render(),
-            metrics_json: r.metrics_json(&label, report.total_cycles).render(),
-        })
-    });
-    let stats = program.stats(harness.machine.dram_bytes_per_cycle);
-    let serial = harness.serial_cycles(program);
-    SweepCell {
-        workload: spec.label(),
-        family: spec.family(),
-        cores: cell.cores,
-        memory,
-        platform,
-        tracker,
-        tasks: stats.tasks,
-        mean_task_cycles: stats.mean_task_cycles,
-        serial_cycles: serial,
-        total_cycles: report.total_cycles,
-        speedup: report.speedup_over(serial),
-        lifetime_overhead,
-        mtt_tasks_per_cycle: tasks_per_cycle,
-        mtt_bound: mtt_speedup_bound_from_throughput(
-            stats.mean_task_cycles,
-            tasks_per_cycle,
-            cell.cores,
-        ),
-        mem_accesses: report.memory_stats.accesses,
-        mem_stall_cycles: report.memory_stats.stall_cycles,
-        mean_mem_latency: report.memory_stats.mean_access_latency(),
-        noc_link_wait_cycles: report.memory_stats.noc_link_wait_cycles,
-        max_link_occupancy: report.memory_stats.max_link_occupancy,
-        fault,
-        fault_drops: report.memory_stats.fault.drops,
-        fault_delays: report.memory_stats.fault.delays,
-        fault_retries: report.memory_stats.fault.retries + report.fabric_stats.tracker_resubmits,
-        fault_tracker_losses: report.fabric_stats.tracker_losses,
-        fault_recovery_cycles: report.memory_stats.fault.recovery_cycles
-            + report.fabric_stats.tracker_recovery_cycles,
-        analysis: sweep.analysis,
-        race_pairs_checked,
-        tenant: None,
-        obs,
-    }
-}
-
-/// Evaluates one co-scheduled cell. Tenant 0 runs the grid point's shared program
-/// batch-at-zero — so the 1-tenant batch/shared scenario is the degenerate case, pinned
-/// cycle-identical to the plain single-program cell — and tenants `1..n` run independent
-/// instances of the same workload spec drawn from per-tenant substreams of the cell RNG.
-/// The whole scenario replays bit-exactly from `(sweep seed, cell coordinates)` alone.
-///
-/// Schedule validation and race detection are skipped here: both check against a single
-/// program's reference graph, and a merged run's global task IDs span all tenants. The
-/// per-tenant critical paths (observed cells) cover the merged run instead.
-fn run_tenant_cell(
-    sweep: &Sweep,
-    cell: &CellSpec,
-    program: &tis_taskmodel::TaskProgram,
-    probes: &SchedulerProbes,
-    scenario: TenantScenario,
-) -> SweepCell {
-    let lifetime_overhead = probes.lifetime_overhead(sweep, cell);
-    let tasks_per_cycle = probes.throughput(sweep, cell);
-    let spec = &sweep.workloads[cell.workload];
-    let platform = sweep.platforms[cell.platform];
-    let tracker = sweep.trackers[cell.tracker];
-    let memory = sweep.memory_models[cell.memory];
-    let base_fault = sweep.faults[cell.fault];
-    let fault = if base_fault.engages() {
-        let mut seeds = SimRng::new(sweep.seed).stream("sweep-fault", cell.index as u64);
-        FaultConfig { seed: seeds.next_u64(), ..base_fault }
-    } else {
-        base_fault
-    };
-    let harness = Harness::with_cores(cell.cores)
-        .with_tracker(tracker)
-        .with_memory_model(memory)
-        .with_faults(fault);
-    let context = || {
-        format!(
-            "sweep '{}' cell {}: {} ({}) on {} cores, {}, {}, {}, fault {}",
-            sweep.name,
-            cell.index,
-            spec.label(),
-            scenario.key(),
-            cell.cores,
-            memory.label(),
-            platform.label(),
-            tracker.label(),
-            fault.key()
-        )
-    };
-    let mut tenant_programs = vec![program.clone()];
-    for t in 1..scenario.tenants {
-        let mut rng = sweep.cell_rng(cell.workload, cell.cores).stream("tenant", t as u64);
-        tenant_programs.push(spec.instantiate(cell.cores, &mut rng));
-    }
-    let policy = if scenario.partitioned {
-        TenantTrackerPolicy::Partitioned {
-            per_tenant_entries: tracker.per_tenant_entries(scenario.tenants),
-        }
-    } else {
-        TenantTrackerPolicy::Shared
-    };
-    let mut set = TenantSet::new().with_policy(policy);
-    for (t, p) in tenant_programs.iter().enumerate() {
-        let arrival = if t == 0 { scenario.victim_arrival } else { scenario.co_arrival };
-        set = set.tenant(format!("t{t}"), Box::new(MaterializedSource::new(p)), arrival);
-    }
-    // Arrival draws are offered load, not schedule: deriving them from the cell's
-    // (workload, cores) stream — never from the policy or the grid index — keeps a
-    // shared-vs-partitioned pair of cells facing byte-identical arrival times, so the pair
-    // isolates the tracker policy and nothing else.
-    let arrivals = sweep.cell_rng(cell.workload, cell.cores).stream("tenant-arrivals", 0);
-    let source = set.into_source(arrivals);
-    let cell_obs = sweep.cell_obs(cell.index);
-    let mut recorder = cell_obs.map(tis_obs::Recorder::new);
-    let (report, run_data) = harness
-        .run_tenants(
-            platform,
-            source,
-            false,
-            recorder.as_mut().map(|r| r as &mut dyn tis_obs::Observer),
-        )
-        .unwrap_or_else(|e| panic!("{} failed: {e}", context()));
-    let obs = recorder.map(|r| {
-        // The merged run's happens-before edges are each tenant's program edges remapped to
-        // global task IDs through the release-order assignment (tenant t's k-th release is
-        // the k-th global ID assigned to t), so the whole-run critical path stays
-        // machine-checked; the per-tenant decompositions reuse the same assignment.
-        let tenant_edges: Vec<Vec<(usize, usize)>> = tenant_programs
-            .iter()
-            .map(|p| tis_analyze::GraphSpec::from_program(p).edges)
-            .collect();
-        let mut globals: Vec<Vec<usize>> = vec![Vec::new(); tenant_programs.len()];
-        for (global, &t) in run_data.assignment.iter().enumerate() {
-            globals[t as usize].push(global);
-        }
-        let merged_edges: Vec<(usize, usize)> = tenant_edges
-            .iter()
-            .enumerate()
-            .flat_map(|(t, edges)| {
-                let map = &globals[t];
-                edges.iter().map(move |&(a, b)| (map[a], map[b]))
-            })
-            .collect();
-        let label = format!("{} cell {} ({})", sweep.name, cell.index, spec.label());
-        Box::new(ObsCellData {
-            config: cell_obs.expect("a recorder implies an engaged obs config"),
-            task_events: r.task_events(),
-            samples: r.metrics().samples().len() as u64,
-            critical: r.critical_path(&merged_edges, report.total_cycles),
-            tenant_critical: tis_obs::critical_path_per_tenant(
-                r.spans(),
-                &run_data.assignment,
-                &tenant_edges,
+        let (critical, tenant_critical, trace) = match &run_data {
+            None => (
+                r.critical_path(&edges[0], report.total_cycles),
+                Vec::new(),
+                r.perfetto_json(&label, cell.cores),
             ),
-            trace_json: tis_obs::trace_json_tenants(
-                &label,
-                cell.cores,
-                r.spans(),
-                r.metrics().samples(),
-                &run_data.names,
-                &run_data.assignment,
-            )
-            .render(),
+            Some(data) => (
+                r.critical_path(&merged_edges(&edges, &data.assignment), report.total_cycles),
+                tis_obs::critical_path_per_tenant(r.spans(), &data.assignment, &edges),
+                tis_obs::trace_json_tenants(
+                    &label,
+                    cell.cores,
+                    r.spans(),
+                    r.metrics().samples(),
+                    &data.names,
+                    &data.assignment,
+                ),
+            ),
+        };
+        Box::new(ObsCellData {
+            config: cell_obs.expect("a recorder implies an engaged obs config"),
+            task_events: r.task_events(),
+            samples: r.metrics().samples().len() as u64,
+            critical,
+            tenant_critical,
+            trace_json: trace.render(),
             metrics_json: r.metrics_json(&label, report.total_cycles).render(),
         })
     });
-    // Aggregate workload statistics across tenants; the serial baseline is one machine doing
-    // every tenant's work back to back, so speedup stays speedup-over-serial for the whole
-    // offered load.
-    let mut tasks = 0usize;
-    let mut weighted_cycles = 0.0;
-    let mut serial = 0u64;
-    for p in &tenant_programs {
-        let stats = p.stats(harness.machine.dram_bytes_per_cycle);
-        weighted_cycles += stats.mean_task_cycles * stats.tasks as f64;
-        tasks += stats.tasks;
-        serial += harness.serial_cycles(p);
-    }
-    let mean_task_cycles = if tasks == 0 { 0.0 } else { weighted_cycles / tasks as f64 };
+    // Workload statistics aggregate across programs; the serial baseline is one machine doing
+    // every program's work back to back, so speedup stays speedup-over-serial for the whole
+    // offered load. A single program keeps its own mean: re-deriving it as `mean × n / n` is
+    // not bit-exact.
+    let stats: Vec<_> = programs.iter().map(|p| p.stats(harness.machine.dram_bytes_per_cycle)).collect();
+    let tasks: usize = stats.iter().map(|s| s.tasks).sum();
+    let serial: u64 = programs.iter().map(|p| harness.serial_cycles(p)).sum();
+    let mean_task_cycles = match &stats[..] {
+        [one] => one.mean_task_cycles,
+        _ if tasks == 0 => 0.0,
+        _ => {
+            stats.iter().fold(0.0, |sum, s| sum + s.mean_task_cycles * s.tasks as f64)
+                / tasks as f64
+        }
+    };
     SweepCell {
         workload: spec.label(),
         family: spec.family(),
@@ -474,14 +351,58 @@ fn run_tenant_cell(
         fault_recovery_cycles: report.memory_stats.fault.recovery_cycles
             + report.fabric_stats.tracker_recovery_cycles,
         analysis: sweep.analysis,
-        race_pairs_checked: 0,
-        tenant: Some(Box::new(TenantCellData {
-            scenario: scenario.key(),
-            reports: report.tenants.clone(),
-            jain: report.tenant_jain_fairness(),
-        })),
+        race_pairs_checked,
+        tenant: scenario.map(|scenario| {
+            Box::new(TenantCellData {
+                scenario: scenario.key(),
+                reports: report.tenants.clone(),
+                jain: report.tenant_jain_fairness(),
+            })
+        }),
         obs,
     }
+}
+
+/// Merges a co-scheduled cell's programs into one [`TenantSource`] under the scenario's
+/// tracker policy and arrival processes.
+fn tenant_source(
+    sweep: &Sweep,
+    cell: &CellSpec,
+    scenario: TenantScenario,
+    programs: &[&TaskProgram],
+) -> TenantSource {
+    let policy = if scenario.partitioned {
+        TenantTrackerPolicy::Partitioned {
+            per_tenant_entries: sweep.trackers[cell.tracker].per_tenant_entries(scenario.tenants),
+        }
+    } else {
+        TenantTrackerPolicy::Shared
+    };
+    let mut set = TenantSet::new().with_policy(policy);
+    for (t, p) in programs.iter().enumerate() {
+        let arrival = if t == 0 { scenario.victim_arrival } else { scenario.co_arrival };
+        set = set.tenant(format!("t{t}"), Box::new(MaterializedSource::new(p)), arrival);
+    }
+    // Arrival draws are offered load, not schedule: deriving them from the cell's
+    // (workload, cores) stream — never from the policy or the grid index — keeps a
+    // shared-vs-partitioned pair of cells facing byte-identical arrival times, so the pair
+    // isolates the tracker policy and nothing else.
+    set.into_source(sweep.cell_rng(cell.workload, cell.cores).stream("tenant-arrivals", 0))
+}
+
+/// A merged run's happens-before edges: each tenant's program edges remapped to global task
+/// IDs through the release-order assignment (tenant t's k-th release is the k-th global ID
+/// assigned to t), so the whole-run critical path stays machine-checked.
+fn merged_edges(tenant_edges: &[Vec<(usize, usize)>], assignment: &[u32]) -> Vec<(usize, usize)> {
+    let mut globals: Vec<Vec<usize>> = vec![Vec::new(); tenant_edges.len()];
+    for (global, &t) in assignment.iter().enumerate() {
+        globals[t as usize].push(global);
+    }
+    tenant_edges
+        .iter()
+        .zip(&globals)
+        .flat_map(|(edges, map)| edges.iter().map(move |&(a, b)| (map[a], map[b])))
+        .collect()
 }
 
 #[cfg(test)]

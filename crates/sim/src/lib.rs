@@ -3,10 +3,8 @@
 //! This crate provides the low-level building blocks shared by every other crate in the
 //! workspace:
 //!
-//! * [`clock`] — the [`Cycle`] time base, clock-domain conversion helpers and a
-//!   monotone [`CycleClock`];
-//! * [`stats`] — counters, running statistics, log-scale histograms and geometric means used by
-//!   the experiment harnesses;
+//! * [`clock`] — the [`Cycle`] time base and the [`Frequency`] of a simulated clock;
+//! * [`stats`] — log-scale histograms and geometric means used by the experiment harnesses;
 //! * [`rng`] — a small, fully deterministic pseudo-random number generator so that simulations
 //!   are reproducible without pulling the `rand` crate into every component;
 //! * [`hwqueue`] — bounded FIFO queues with occupancy accounting, modelling the Chisel `Queue`
@@ -16,9 +14,8 @@
 //!   tables on the simulator's hot paths;
 //! * [`inline`] — [`InlineVec`], a small vector with inline storage for the short lists the
 //!   Picos task memory and address table are made of;
-//! * [`trace`] — a lightweight bounded event trace for debugging simulations;
 //! * [`json`] — the dependency-free JSON value tree shared by the benchmark artifacts and the
-//!   observability exports (`tis-bench` re-exports it for backward compatibility).
+//!   observability exports (`tis-bench` re-exports it at its crate root).
 //!
 //! The whole simulator is single-threaded and deterministic: given the same configuration and the
 //! same seeds, every run produces bit-identical results. This mirrors the methodology of the
@@ -27,14 +24,15 @@
 //! # Example
 //!
 //! ```
-//! use tis_sim::clock::CycleClock;
-//! use tis_sim::stats::RunningStats;
+//! use tis_sim::{Cycle, Frequency, Histogram};
 //!
-//! let mut clock = CycleClock::new();
-//! clock.advance(125);
-//! let mut stats = RunningStats::new();
-//! stats.record(clock.now() as f64);
-//! assert_eq!(stats.count(), 1);
+//! let mut latencies = Histogram::new();
+//! for cycles in [1, 1, 40, 125] {
+//!     latencies.record(cycles as Cycle);
+//! }
+//! assert_eq!(latencies.count(), 4);
+//! assert_eq!(latencies.max(), Some(125.0));
+//! assert_eq!(Frequency::ROCKET_FPGA.cycles_to_seconds(80_000_000), 1.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,13 +45,11 @@ pub mod inline;
 pub mod json;
 pub mod rng;
 pub mod stats;
-pub mod trace;
 
-pub use clock::{Cycle, CycleClock, Frequency};
+pub use clock::{Cycle, Frequency};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use hwqueue::{BoundedQueue, TimedQueue};
 pub use inline::InlineVec;
 pub use json::{Json, JsonParseError};
 pub use rng::SimRng;
-pub use stats::{geomean, Counter, Histogram, RunningStats};
-pub use trace::{TraceBuffer, TraceEvent, TraceLevel, TracePayload};
+pub use stats::{geomean, Histogram};

@@ -1,157 +1,8 @@
 //! Statistics collection used by the simulator and the experiment harnesses.
 //!
-//! Three small tools cover every need of the workspace:
-//!
-//! * [`Counter`] — a named monotonically increasing event counter;
-//! * [`RunningStats`] — streaming mean / min / max / variance without storing samples;
 //! * [`Histogram`] — a power-of-two bucketed latency histogram, useful for inspecting the
 //!   distribution of memory or scheduling latencies;
 //! * [`geomean`] — the geometric mean used by the paper for its headline speedup numbers.
-
-/// A named monotonically increasing counter.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter starting at zero.
-    pub fn new() -> Self {
-        Counter { value: 0 }
-    }
-
-    /// Increments the counter by one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `delta` to the counter.
-    pub fn add(&mut self, delta: u64) {
-        self.value += delta;
-    }
-
-    /// Returns the current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
-
-/// Streaming statistics (count, mean, min, max, population variance) over `f64` samples.
-///
-/// Uses Welford's online algorithm so long simulations do not accumulate floating-point error or
-/// memory.
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-    sum: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty statistics accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean of recorded samples, or `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sum of all recorded samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Minimum sample, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.min)
-        }
-    }
-
-    /// Maximum sample, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.max)
-        }
-    }
-
-    /// Population variance, or `0.0` with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Merges another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean = mean;
-        self.m2 = m2;
-        self.count = total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// A histogram with power-of-two bucket boundaries: bucket `i` counts samples in
 /// `[2^i, 2^(i+1))`, with bucket 0 also containing zero.
@@ -161,7 +12,10 @@ impl RunningStats {
 #[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,
-    stats: RunningStats,
+    count: u64,
+    /// Running mean, updated in Welford's form so long runs accumulate no drift.
+    mean: f64,
+    max: u64,
 }
 
 impl Default for Histogram {
@@ -176,10 +30,7 @@ impl Histogram {
 
     /// Creates an empty histogram.
     pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; Self::BUCKETS],
-            stats: RunningStats::new(),
-        }
+        Histogram { buckets: vec![0; Self::BUCKETS], count: 0, mean: 0.0, max: 0 }
     }
 
     /// Records one sample.
@@ -191,22 +42,24 @@ impl Histogram {
         };
         let idx = idx.min(Self::BUCKETS - 1);
         self.buckets[idx] += 1;
-        self.stats.record(value as f64);
+        self.count += 1;
+        self.mean += (value as f64 - self.mean) / self.count as f64;
+        self.max = self.max.max(value);
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.stats.count()
+        self.count
     }
 
-    /// Mean of recorded samples.
+    /// Mean of recorded samples, or `0.0` when empty.
     pub fn mean(&self) -> f64 {
-        self.stats.mean()
+        self.mean
     }
 
     /// Maximum recorded sample, or `None` when empty.
     pub fn max(&self) -> Option<f64> {
-        self.stats.max()
+        (self.count > 0).then_some(self.max as f64)
     }
 
     /// Returns the count stored in bucket `i` (samples in `[2^(i-1), 2^i)` for `i > 0`).
@@ -274,62 +127,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn running_stats_mean_min_max() {
-        let mut s = RunningStats::new();
-        for x in [2.0, 4.0, 6.0, 8.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(8.0));
-        assert!((s.variance() - 5.0).abs() < 1e-12);
-        assert!((s.sum() - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn running_stats_empty() {
-        let s = RunningStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn running_stats_merge_matches_sequential() {
-        let samples: Vec<f64> = (1..=100).map(|x| x as f64 * 0.37).collect();
-        let mut all = RunningStats::new();
-        for &x in &samples {
-            all.record(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for (i, &x) in samples.iter().enumerate() {
-            if i % 3 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
     fn histogram_buckets_and_quantiles() {
         let mut h = Histogram::new();
         for v in [0u64, 1, 1, 2, 3, 4, 8, 1000] {
@@ -344,6 +141,7 @@ mod tests {
         assert_eq!(h.quantile(0.0), Some(0));
         assert!(h.quantile(1.0).unwrap() >= 512);
         assert_eq!(h.max(), Some(1000.0));
+        assert!((h.mean() - 127.375).abs() < 1e-12);
         let nonempty: Vec<_> = h.iter().collect();
         assert_eq!(nonempty.iter().map(|&(_, c)| c).sum::<u64>(), 8);
     }
@@ -352,6 +150,7 @@ mod tests {
     fn histogram_empty_quantile_is_none() {
         let h = Histogram::new();
         assert_eq!(h.quantile(0.5), None);
+        assert_eq!((h.count(), h.mean(), h.max()), (0, 0.0, None));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! 1. **Observation is free when off and invisible when on.** Attaching a [`NullObserver`]
 //!    (or a full [`Recorder`]) to any run produces an [`ExecutionReport`] *equal* to the
-//!    unobserved run — same cycles, same records, same stats — on the whole Figure 7 grid and
-//!    a Figure 9 subset. The five checked-in `bench-baselines/` artifacts carry no obs keys,
+//!    unobserved run — same cycles, same records, same stats — on the whole Figure 7 grid, a
+//!    two-tenant co-scheduled run on all four platforms, and a Figure 9 subset. The five checked-in `bench-baselines/` artifacts carry no obs keys,
 //!    so obs-off artifacts stay byte-identical to the pre-obs seed.
 //! 2. **What it reports is exact.** The critical-path profiler partitions every makespan into
 //!    gap-free segments whose totals sum to the makespan *exactly*, across the entire paper
@@ -19,9 +19,12 @@ use std::path::Path;
 use tis::analyze::GraphSpec;
 use tis::bench::{figure7_workloads, Harness, Platform};
 use tis::machine::MachineConfig;
-use tis::obs::{NullObserver, ObsConfig, Recorder};
+use tis::obs::{trace_json_tenants, NullObserver, ObsConfig, Recorder};
 use tis::sim::json::Json;
-use tis::taskmodel::{Dependence, Payload, ProgramBuilder, TaskProgram};
+use tis::sim::SimRng;
+use tis::taskmodel::{
+    ArrivalProcess, Dependence, MaterializedSource, Payload, ProgramBuilder, TaskProgram, TenantSet,
+};
 use tis::workloads::{entry_for_cores, paper_catalog_for_cores};
 
 /// The five artifacts CI diffs against; any obs key in one would mean obs-off output moved.
@@ -54,7 +57,8 @@ fn observers_change_nothing_on_the_fig07_grid() {
     // Every cell of the Figure 7 grid, three ways: unobserved, NullObserver, full Recorder.
     // All three reports must be *equal* — not just same-makespan: same records, same stats.
     let prototype = Harness::paper_prototype();
-    let single = Harness { machine: MachineConfig { cores: 1, ..prototype.machine }, ..prototype };
+    let single =
+        Harness { machine: MachineConfig { cores: 1, ..prototype.machine }, ..prototype.clone() };
     for platform in Platform::ALL {
         for (label, program) in figure7_workloads(50) {
             let plain = single.run(platform, &program).expect(label);
@@ -68,6 +72,52 @@ fn observers_change_nothing_on_the_fig07_grid() {
             let complete =
                 rec.spans().iter().filter(|s| s.submit.is_some() && s.retire.is_some()).count();
             assert_eq!(complete, 50, "{label} on {}: incomplete spans", platform.key());
+        }
+    }
+    // Co-scheduled runs take the same observer path: two Figure 7 workloads as tenants of one
+    // eight-core machine, run with and without a recorder.
+    let tenants = || {
+        let [(free, free_program), (chain, chain_program), ..] = &figure7_workloads(50)[..] else {
+            unreachable!("Figure 7 has four workloads")
+        };
+        TenantSet::new()
+            .tenant(*free, Box::new(MaterializedSource::new(free_program)), ArrivalProcess::BatchAtZero)
+            .tenant(
+                *chain,
+                Box::new(MaterializedSource::new(chain_program)),
+                ArrivalProcess::Poisson { mean_interarrival: 500 },
+            )
+            .into_source(SimRng::new(7))
+    };
+    for platform in Platform::ALL {
+        let (plain, plain_data) =
+            prototype.run_tenants(platform, tenants(), true, None).expect("tenant run");
+        let mut rec = Recorder::new(ObsConfig::full());
+        let (recorded, data) =
+            prototype.run_tenants(platform, tenants(), true, Some(&mut rec)).expect("tenant run");
+        assert_eq!(plain, recorded, "tenants on {}: recording moved the run", platform.key());
+        assert_eq!(plain_data, data, "tenants on {}: recording moved the assignment", platform.key());
+        // The per-tenant trace renders one task-body slice per retired task, on its tenant's
+        // track group.
+        let trace = trace_json_tenants(
+            "fig07-tenants",
+            prototype.cores(),
+            rec.spans(),
+            rec.metrics().samples(),
+            &data.names,
+            &data.assignment,
+        );
+        let parsed = Json::parse(&trace.render()).expect("tenant trace parses");
+        let Some(Json::Arr(events)) = parsed.get("traceEvents") else {
+            panic!("traceEvents must be an array");
+        };
+        for (t, tenant) in plain.tenants.iter().enumerate() {
+            let bodies = events
+                .iter()
+                .filter(|e| e.get("cat").and_then(Json::as_str) == Some("task"))
+                .filter(|e| e.get("pid").and_then(Json::as_f64) == Some(t as f64))
+                .count();
+            assert_eq!(bodies as u64, tenant.tasks, "tenant {t} on {}: trace lost tasks", platform.key());
         }
     }
 }
