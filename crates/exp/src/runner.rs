@@ -244,6 +244,13 @@ fn run_cell(sweep: &Sweep, cell: &CellSpec, program: &TaskProgram, probes: &Sche
         }
     }
     .unwrap_or_else(|e| panic!("{} failed: {e}", context()));
+    // Each program's dependence graph, built once for the race check and the critical path.
+    let graphs: Vec<tis_analyze::GraphSpec> =
+        if recorder.is_some() || (scenario.is_none() && sweep.analysis.races) {
+            programs.iter().map(|p| tis_analyze::GraphSpec::from_program(p)).collect()
+        } else {
+            Vec::new()
+        };
     let mut race_pairs_checked = 0;
     if scenario.is_none() {
         if sweep.validate {
@@ -255,8 +262,7 @@ fn run_cell(sweep: &Sweep, cell: &CellSpec, program: &TaskProgram, probes: &Sche
         // platform executed a conflicting pair without a happens-before path — like a
         // validation failure, that is a bug to surface, not a data point to record.
         if sweep.analysis.races {
-            let spec_graph = tis_analyze::GraphSpec::from_program(program);
-            let analysis = tis_analyze::detect_races(&spec_graph, &report.records);
+            let analysis = tis_analyze::detect_races(&graphs[0], &report.records);
             if !analysis.is_race_free() {
                 let mut detail = String::new();
                 for race in &analysis.races {
@@ -276,8 +282,7 @@ fn run_cell(sweep: &Sweep, cell: &CellSpec, program: &TaskProgram, probes: &Sche
     // Fold the recorder into the cell: critical path over the run's happens-before edges
     // (the same edges the race detector walks), plus the rendered trace/metrics documents.
     let obs = recorder.map(|r| {
-        let edges: Vec<Vec<(usize, usize)>> =
-            programs.iter().map(|p| tis_analyze::GraphSpec::from_program(p).edges).collect();
+        let edges: Vec<Vec<(usize, usize)>> = graphs.into_iter().map(|g| g.edges).collect();
         let label = format!("{} cell {} ({})", sweep.name, cell.index, spec.label());
         let (critical, tenant_critical, trace) = match &run_data {
             None => (

@@ -13,13 +13,17 @@
 //!   and NoC legs) and [`MetricsSample`] (a cycle-bucketed gauge snapshot), all flowing
 //!   through the single [`Observer`] trait chokepoint;
 //! * [`metrics`] — a registry of counters, gauges and histograms with cycle-bucketed
-//!   time-series sampling, exported as a hand-rolled JSON document ([`tis_sim::json`] — no new
-//!   dependencies);
+//!   time-series sampling, exported as one JSON document;
 //! * [`perfetto`] — a Chrome trace-event exporter: task spans become per-core tracks and
 //!   tracker/NoC activity become counter tracks, loadable in `ui.perfetto.dev`;
 //! * [`critical`] — a critical-path profiler that walks the executed happens-before graph and
 //!   attributes the makespan to task-body vs memory-stall vs dispatch-wait vs
 //!   scheduler-overhead cycles, machine-checked to sum exactly to the makespan.
+//!
+//! Both exporters stream their documents through [`tis_sim::json::JsonWriter`] as they walk
+//! the recorded spans and samples, and return the finished text
+//! ([`JsonText`](tis_sim::json::JsonText)): no JSON value tree is built, so an export costs
+//! one output buffer and no per-event allocation.
 //!
 //! # The chokepoint contract
 //!

@@ -1,11 +1,11 @@
 //! The metrics registry: counters, histograms, and the cycle-bucketed gauge timeline.
 //!
-//! The registry is owned by the run's [`Recorder`](crate::Recorder) and exported as one
-//! hand-rolled JSON document (`METRICS_*.json`) in the same style as the `BENCH_*.json`
-//! artifacts — the same [`tis_sim::json`] writer, two-space pretty-printing, no dependencies.
+//! The registry is owned by the run's [`Recorder`](crate::Recorder) and exported as one JSON
+//! document (`METRICS_*.json`) in the layout of the `BENCH_*.json` artifacts. The export
+//! streams the registry straight through [`tis_sim::json::JsonWriter`]; no value tree is built.
 
 use crate::events::{MemAccessKind, MemEvent, MetricsSample};
-use tis_sim::json::Json;
+use tis_sim::json::{JsonText, JsonValue, JsonWriter};
 use tis_sim::stats::Histogram;
 use tis_sim::Cycle;
 
@@ -82,81 +82,68 @@ impl MetricsRegistry {
     /// and a `timeline` object of parallel arrays keyed by gauge name — the cycle-bucketed
     /// time series. Cumulative series are monotone; consumers difference adjacent entries for
     /// per-bucket rates.
-    pub fn to_json(&self, label: &str, makespan: Cycle) -> Json {
-        let counters = Json::obj([
-            ("coherence_reads", Json::UInt(self.coherence_reads)),
-            ("coherence_writes", Json::UInt(self.coherence_writes)),
-            ("coherence_atomics", Json::UInt(self.coherence_atomics)),
-            ("l1_misses", Json::UInt(self.l1_misses)),
-            ("remote_dirty_hits", Json::UInt(self.remote_dirty_hits)),
-            ("noc_legs", Json::UInt(self.noc_legs)),
-            ("noc_wait_cycles", Json::UInt(self.noc_wait_cycles)),
-        ]);
-        let histograms = Json::obj([
-            ("access_latency", histogram_json(&self.access_latency)),
-            ("noc_leg_wait", histogram_json(&self.noc_leg_wait)),
-        ]);
-        let series = |f: &dyn Fn(&MetricsSample) -> u64| {
-            Json::Arr(self.samples.iter().map(|s| Json::UInt(f(s))).collect())
-        };
-        let per_core = |f: &dyn Fn(&MetricsSample) -> &Vec<u64>| {
-            Json::Arr(
-                self.samples
-                    .iter()
-                    .map(|s| Json::Arr(f(s).iter().map(|&v| Json::UInt(v)).collect()))
-                    .collect(),
-            )
-        };
-        let timeline = Json::obj([
-            ("cycle", series(&|s| s.cycle)),
-            ("tracker_in_flight", series(&|s| s.tracker_in_flight)),
-            ("ready_queue_len", series(&|s| s.ready_queue_len)),
-            ("core_busy_cycles", per_core(&|s| &s.core_busy_cycles)),
-            ("core_idle_cycles", per_core(&|s| &s.core_idle_cycles)),
-            ("mem_accesses", series(&|s| s.mem_accesses)),
-            ("mem_stall_cycles", series(&|s| s.mem_stall_cycles)),
-            ("dram_fetches", series(&|s| s.dram_fetches)),
-            ("dram_writebacks", series(&|s| s.dram_writebacks)),
-            ("invalidations", series(&|s| s.invalidations)),
-            ("dirty_bounces", series(&|s| s.dirty_bounces)),
-            ("noc_messages", series(&|s| s.noc_messages)),
-            ("noc_flits", series(&|s| s.noc_flits)),
-            ("noc_link_wait_cycles", series(&|s| s.noc_link_wait_cycles)),
-            ("max_link_occupancy", series(&|s| s.max_link_occupancy)),
-        ]);
-        Json::obj([
-            ("schema", Json::Str("tis-metrics-v1".to_string())),
-            ("label", Json::Str(label.to_string())),
-            ("makespan_cycles", Json::UInt(makespan)),
-            ("sample_count", Json::UInt(self.samples.len() as u64)),
-            ("counters", counters),
-            ("histograms", histograms),
-            ("timeline", timeline),
-        ])
+    pub fn to_json(&self, label: &str, makespan: Cycle) -> JsonText {
+        let mut w = JsonWriter::new();
+        w.begin_obj().field("schema", "tis-metrics-v1").field("label", label);
+        w.field("makespan_cycles", makespan).field("sample_count", self.samples.len() as u64);
+        w.key("counters").begin_obj();
+        w.field("coherence_reads", self.coherence_reads);
+        w.field("coherence_writes", self.coherence_writes);
+        w.field("coherence_atomics", self.coherence_atomics);
+        w.field("l1_misses", self.l1_misses);
+        w.field("remote_dirty_hits", self.remote_dirty_hits);
+        w.field("noc_legs", self.noc_legs);
+        w.field("noc_wait_cycles", self.noc_wait_cycles);
+        w.end_obj().key("histograms").begin_obj();
+        histogram(&mut w, "access_latency", &self.access_latency);
+        histogram(&mut w, "noc_leg_wait", &self.noc_leg_wait);
+        w.end_obj().key("timeline").begin_obj();
+        let samples = &self.samples[..];
+        series(&mut w, "cycle", samples, |s| s.cycle);
+        series(&mut w, "tracker_in_flight", samples, |s| s.tracker_in_flight);
+        series(&mut w, "ready_queue_len", samples, |s| s.ready_queue_len);
+        series(&mut w, "core_busy_cycles", samples, |s| s.core_busy_cycles.as_slice());
+        series(&mut w, "core_idle_cycles", samples, |s| s.core_idle_cycles.as_slice());
+        series(&mut w, "mem_accesses", samples, |s| s.mem_accesses);
+        series(&mut w, "mem_stall_cycles", samples, |s| s.mem_stall_cycles);
+        series(&mut w, "dram_fetches", samples, |s| s.dram_fetches);
+        series(&mut w, "dram_writebacks", samples, |s| s.dram_writebacks);
+        series(&mut w, "invalidations", samples, |s| s.invalidations);
+        series(&mut w, "dirty_bounces", samples, |s| s.dirty_bounces);
+        series(&mut w, "noc_messages", samples, |s| s.noc_messages);
+        series(&mut w, "noc_flits", samples, |s| s.noc_flits);
+        series(&mut w, "noc_link_wait_cycles", samples, |s| s.noc_link_wait_cycles);
+        series(&mut w, "max_link_occupancy", samples, |s| s.max_link_occupancy);
+        w.end_obj().end_obj();
+        w.finish()
     }
 }
 
-fn histogram_json(h: &Histogram) -> Json {
-    let q = |p: f64| match h.quantile(p) {
-        Some(v) => Json::UInt(v),
-        None => Json::Null,
-    };
-    Json::obj([
-        ("count", Json::UInt(h.count())),
-        ("mean", Json::Num(h.mean())),
-        ("p50", q(0.50)),
-        ("p90", q(0.90)),
-        ("p99", q(0.99)),
-        ("max", match h.max() {
-            Some(m) => Json::Num(m),
-            None => Json::Null,
-        }),
-    ])
+/// Writes `key` as a histogram's count, mean and quantiles.
+fn histogram(w: &mut JsonWriter, key: &str, h: &Histogram) {
+    w.key(key).begin_obj().field("count", h.count()).field("mean", h.mean());
+    w.field("p50", h.quantile(0.50)).field("p90", h.quantile(0.90)).field("p99", h.quantile(0.99));
+    w.field("max", h.max()).end_obj();
+}
+
+/// Writes `key` as one gauge's time series: the array of `value` over the samples.
+fn series<'s, V: JsonValue>(
+    w: &mut JsonWriter,
+    key: &str,
+    samples: &'s [MetricsSample],
+    value: impl Fn(&'s MetricsSample) -> V,
+) {
+    w.key(key).begin_arr();
+    for s in samples {
+        w.value(value(s));
+    }
+    w.end_arr();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tis_sim::json::Json;
 
     #[test]
     fn mem_events_feed_the_counters_and_histograms() {
@@ -180,7 +167,7 @@ mod tests {
         m.record_mem(&MemEvent::NocLeg { cycle: 15, from: 0, to: 3, flits: 4, wait_cycles: 9 });
         assert_eq!(m.coherence_transactions(), 2);
         assert_eq!(m.noc_legs(), 1);
-        let doc = m.to_json("unit", 100);
+        let doc = Json::parse(&m.to_json("unit", 100).render()).unwrap();
         assert_eq!(doc.get("counters").unwrap().get("l1_misses"), Some(&Json::UInt(1)));
         assert_eq!(doc.get("counters").unwrap().get("noc_wait_cycles"), Some(&Json::UInt(9)));
         let lat = doc.get("histograms").unwrap().get("access_latency").unwrap();
@@ -199,7 +186,8 @@ mod tests {
                 ..MetricsSample::default()
             });
         }
-        let doc = m.to_json("unit", 2048);
+        let rendered = m.to_json("unit", 2048).render();
+        let doc = Json::parse(&rendered).unwrap();
         let t = doc.get("timeline").unwrap();
         for key in ["cycle", "tracker_in_flight", "core_busy_cycles", "noc_flits"] {
             match t.get(key) {
@@ -207,8 +195,7 @@ mod tests {
                 other => panic!("series {key} missing or not an array: {other:?}"),
             }
         }
-        // Round-trips through the parser (the document is valid JSON).
-        let rendered = doc.render();
-        assert_eq!(Json::parse(&rendered).unwrap(), doc);
+        // The streamed document is laid out exactly as its value tree renders.
+        assert_eq!(doc.render(), rendered);
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::events::MetricsSample;
 use crate::span::TaskSpan;
-use tis_sim::json::Json;
+use tis_sim::json::{JsonText, JsonValue, JsonWriter};
 
 /// Process id used for all tracks (one simulated machine = one Perfetto process).
 const PID: u64 = 0;
@@ -21,61 +21,21 @@ const PID: u64 = 0;
 /// `label` names the process in the UI (typically the sweep cell or workload label);
 /// `cores` sizes the per-core thread tracks (cores with no executed task still get a named
 /// track, making idle cores visible).
-pub fn trace_json(label: &str, cores: usize, spans: &[TaskSpan], samples: &[MetricsSample]) -> Json {
-    let mut events: Vec<Json> = Vec::new();
-    events.push(meta_event("process_name", PID, None, label));
+pub fn trace_json(label: &str, cores: usize, spans: &[TaskSpan], samples: &[MetricsSample]) -> JsonText {
+    let mut w = begin_trace();
+    meta(&mut w, "process_name", PID, None, "name", label);
     for core in 0..cores {
-        events.push(meta_event("thread_name", PID, Some(core as u64), &format!("core {core}")));
-        events.push(Json::obj([
-            ("name", Json::Str("thread_sort_index".to_string())),
-            ("ph", Json::Str("M".to_string())),
-            ("pid", Json::UInt(PID)),
-            ("tid", Json::UInt(core as u64)),
-            ("args", Json::obj([("sort_index", Json::UInt(core as u64))])),
-        ]));
+        let tid = core as u64;
+        meta(&mut w, "thread_name", PID, Some(tid), "name", format_args!("core {core}"));
+        meta(&mut w, "thread_sort_index", PID, Some(tid), "sort_index", tid);
     }
     for span in spans {
-        let (Some(core), Some(dispatch), Some(start), Some(end), Some(retire)) =
-            (span.core, span.dispatch, span.exec_start, span.exec_end, span.retire)
-        else {
-            continue; // incomplete span: nothing executed, nothing to draw
-        };
-        let tid = core as u64;
-        // Fetch/meta-read overhead between the work fetch and the body.
-        events.push(slice("fetch", "sched", tid, dispatch, start - dispatch, span.task));
-        // The task body, with the full lifecycle in args for the selection panel.
-        events.push(Json::obj([
-            ("name", Json::Str(format!("task {}", span.task))),
-            ("cat", Json::Str("task".to_string())),
-            ("ph", Json::Str("X".to_string())),
-            ("ts", Json::UInt(start)),
-            ("dur", Json::UInt(end - start)),
-            ("pid", Json::UInt(PID)),
-            ("tid", Json::UInt(tid)),
-            ("args", Json::obj([
-                ("task", Json::UInt(span.task)),
-                ("submit", opt_cycle(span.submit)),
-                ("ready", opt_cycle(span.ready)),
-                ("dispatch", Json::UInt(dispatch)),
-                ("retire", Json::UInt(retire)),
-                ("payload_mem_cycles", Json::UInt(span.payload_mem_cycles)),
-            ])),
-        ]));
-        // Retirement notification overhead after the body.
-        events.push(slice("retire", "sched", tid, end, retire - end, span.task));
+        task_slices(&mut w, span, None);
     }
     for s in samples {
-        events.push(counter("tracker in-flight", s.cycle, "tasks", s.tracker_in_flight));
-        events.push(counter("ready queue", s.cycle, "tasks", s.ready_queue_len));
-        events.push(counter("noc flits (cum)", s.cycle, "flits", s.noc_flits));
-        events.push(counter("noc link wait (cum)", s.cycle, "cycles", s.noc_link_wait_cycles));
-        events.push(counter("mem stall (cum)", s.cycle, "cycles", s.mem_stall_cycles));
+        counters(&mut w, PID, s);
     }
-    Json::obj([
-        ("traceEvents", Json::Arr(events)),
-        ("displayTimeUnit", Json::Str("ns".to_string())),
-        ("otherData", Json::obj([("timeUnit", Json::Str("simulated cycles".to_string()))])),
-    ])
+    end_trace(w)
 }
 
 /// [`trace_json`] with a tenant dimension: each tenant of a co-scheduled run becomes its own
@@ -93,124 +53,108 @@ pub fn trace_json_tenants(
     samples: &[MetricsSample],
     names: &[String],
     assignment: &[u32],
-) -> Json {
+) -> JsonText {
     let machine_pid = names.len() as u64;
-    let mut events: Vec<Json> = Vec::new();
+    let mut w = begin_trace();
     for (t, name) in names.iter().enumerate() {
         let pid = t as u64;
-        events.push(meta_event("process_name", pid, None, &format!("{label} / tenant {t}: {name}")));
-        events.push(Json::obj([
-            ("name", Json::Str("process_sort_index".to_string())),
-            ("ph", Json::Str("M".to_string())),
-            ("pid", Json::UInt(pid)),
-            ("args", Json::obj([("sort_index", Json::UInt(pid))])),
-        ]));
+        meta(&mut w, "process_name", pid, None, "name", format_args!("{label} / tenant {t}: {name}"));
+        meta(&mut w, "process_sort_index", pid, None, "sort_index", pid);
         for core in 0..cores {
-            events.push(meta_event("thread_name", pid, Some(core as u64), &format!("core {core}")));
+            meta(&mut w, "thread_name", pid, Some(core as u64), "name", format_args!("core {core}"));
         }
     }
-    events.push(meta_event("process_name", machine_pid, None, &format!("{label} / machine")));
+    meta(&mut w, "process_name", machine_pid, None, "name", format_args!("{label} / machine"));
     for span in spans {
-        let (Some(core), Some(dispatch), Some(start), Some(end), Some(retire)) =
-            (span.core, span.dispatch, span.exec_start, span.exec_end, span.retire)
-        else {
-            continue;
-        };
-        let Some(&tenant) = assignment.get(span.task as usize) else {
-            continue; // task not in the tenant assignment: nothing to attribute it to
-        };
-        let pid = tenant as u64;
-        let tid = core as u64;
-        events.push(slice_on(pid, "fetch", "sched", tid, dispatch, start - dispatch, span.task));
-        events.push(Json::obj([
-            ("name", Json::Str(format!("task {}", span.task))),
-            ("cat", Json::Str("task".to_string())),
-            ("ph", Json::Str("X".to_string())),
-            ("ts", Json::UInt(start)),
-            ("dur", Json::UInt(end - start)),
-            ("pid", Json::UInt(pid)),
-            ("tid", Json::UInt(tid)),
-            ("args", Json::obj([
-                ("task", Json::UInt(span.task)),
-                ("tenant", Json::UInt(pid)),
-                ("submit", opt_cycle(span.submit)),
-                ("ready", opt_cycle(span.ready)),
-                ("dispatch", Json::UInt(dispatch)),
-                ("retire", Json::UInt(retire)),
-                ("payload_mem_cycles", Json::UInt(span.payload_mem_cycles)),
-            ])),
-        ]));
-        events.push(slice_on(pid, "retire", "sched", tid, end, retire - end, span.task));
+        // A task outside the tenant assignment has no tenant to attribute it to.
+        if let Some(&tenant) = assignment.get(span.task as usize) {
+            task_slices(&mut w, span, Some(u64::from(tenant)));
+        }
     }
     for s in samples {
-        events.push(counter_on(machine_pid, "tracker in-flight", s.cycle, "tasks", s.tracker_in_flight));
-        events.push(counter_on(machine_pid, "ready queue", s.cycle, "tasks", s.ready_queue_len));
-        events.push(counter_on(machine_pid, "noc flits (cum)", s.cycle, "flits", s.noc_flits));
-        events.push(counter_on(machine_pid, "noc link wait (cum)", s.cycle, "cycles", s.noc_link_wait_cycles));
-        events.push(counter_on(machine_pid, "mem stall (cum)", s.cycle, "cycles", s.mem_stall_cycles));
+        counters(&mut w, machine_pid, s);
     }
-    Json::obj([
-        ("traceEvents", Json::Arr(events)),
-        ("displayTimeUnit", Json::Str("ns".to_string())),
-        ("otherData", Json::obj([("timeUnit", Json::Str("simulated cycles".to_string()))])),
-    ])
+    end_trace(w)
 }
 
-fn meta_event(name: &str, pid: u64, tid: Option<u64>, value: &str) -> Json {
-    let mut pairs = vec![
-        ("name".to_string(), Json::Str(name.to_string())),
-        ("ph".to_string(), Json::Str("M".to_string())),
-        ("pid".to_string(), Json::UInt(pid)),
-    ];
-    if let Some(t) = tid {
-        pairs.push(("tid".to_string(), Json::UInt(t)));
+/// Opens the document and its `traceEvents` array.
+fn begin_trace() -> JsonWriter {
+    let mut w = JsonWriter::new();
+    w.begin_obj().key("traceEvents").begin_arr();
+    w
+}
+
+/// Closes `traceEvents` and writes the document's trailing keys.
+fn end_trace(mut w: JsonWriter) -> JsonText {
+    w.end_arr().field("displayTimeUnit", "ns");
+    w.key("otherData").begin_obj().field("timeUnit", "simulated cycles").end_obj().end_obj();
+    w.finish()
+}
+
+/// A metadata (`M`) event naming or ordering a process (`tid` `None`) or one of its threads.
+fn meta(w: &mut JsonWriter, name: &str, pid: u64, tid: Option<u64>, arg: &str, value: impl JsonValue) {
+    w.begin_obj().field("name", name).field("ph", "M").field("pid", pid);
+    if let Some(tid) = tid {
+        w.field("tid", tid);
     }
-    pairs.push(("args".to_string(), Json::obj([("name", Json::Str(value.to_string()))])));
-    Json::Obj(pairs)
+    w.key("args").begin_obj().field(arg, value).end_obj().end_obj();
 }
 
-fn opt_cycle(c: Option<u64>) -> Json {
-    match c {
-        Some(v) => Json::UInt(v),
-        None => Json::Null,
+/// A span's three slices on its core's thread: the fetch/meta-read overhead before the body,
+/// the body (with the full lifecycle in args for the selection panel), and the retirement
+/// notification overhead after it. A tenant trace draws them in the tenant's process and names
+/// the tenant in the body's args. An incomplete span (nothing executed) draws nothing.
+fn task_slices(w: &mut JsonWriter, span: &TaskSpan, tenant: Option<u64>) {
+    let (Some(core), Some(dispatch), Some(start), Some(end), Some(retire)) =
+        (span.core, span.dispatch, span.exec_start, span.exec_end, span.retire)
+    else {
+        return;
+    };
+    let (track, task) = ((tenant.unwrap_or(PID), core as u64), span.task);
+    slice(w, "fetch", "sched", track, dispatch, start - dispatch, task).end_obj().end_obj();
+    let body = slice(w, "task", "task", track, start, end - start, task);
+    if let Some(tenant) = tenant {
+        body.field("tenant", tenant);
     }
+    body.field("submit", span.submit).field("ready", span.ready).field("dispatch", dispatch);
+    body.field("retire", retire).field("payload_mem_cycles", span.payload_mem_cycles).end_obj().end_obj();
+    slice(w, "retire", "sched", track, end, retire - end, task).end_obj().end_obj();
 }
 
-fn slice(name: &str, cat: &str, tid: u64, ts: u64, dur: u64, task: u64) -> Json {
-    slice_on(PID, name, cat, tid, ts, dur, task)
+/// Opens a complete (`X`) slice event named `"{name} {task}"` on the `(pid, tid)` track, up to
+/// the `task` entry of its `args`; the caller adds any further args and closes both objects.
+fn slice<'w>(
+    w: &'w mut JsonWriter,
+    name: &str,
+    cat: &str,
+    (pid, tid): (u64, u64),
+    ts: u64,
+    dur: u64,
+    task: u64,
+) -> &'w mut JsonWriter {
+    w.begin_obj().field("name", format_args!("{name} {task}")).field("cat", cat).field("ph", "X");
+    w.field("ts", ts).field("dur", dur).field("pid", pid).field("tid", tid);
+    w.key("args").begin_obj().field("task", task)
 }
 
-fn slice_on(pid: u64, name: &str, cat: &str, tid: u64, ts: u64, dur: u64, task: u64) -> Json {
-    Json::obj([
-        ("name", Json::Str(format!("{name} {task}"))),
-        ("cat", Json::Str(cat.to_string())),
-        ("ph", Json::Str("X".to_string())),
-        ("ts", Json::UInt(ts)),
-        ("dur", Json::UInt(dur)),
-        ("pid", Json::UInt(pid)),
-        ("tid", Json::UInt(tid)),
-        ("args", Json::obj([("task", Json::UInt(task))])),
-    ])
-}
-
-fn counter(name: &str, ts: u64, series: &str, value: u64) -> Json {
-    counter_on(PID, name, ts, series, value)
-}
-
-fn counter_on(pid: u64, name: &str, ts: u64, series: &str, value: u64) -> Json {
-    Json::obj([
-        ("name", Json::Str(name.to_string())),
-        ("ph", Json::Str("C".to_string())),
-        ("ts", Json::UInt(ts)),
-        ("pid", Json::UInt(pid)),
-        ("args", Json::Obj(vec![(series.to_string(), Json::UInt(value))])),
-    ])
+/// One sample's counter (`C`) events on process `pid`.
+fn counters(w: &mut JsonWriter, pid: u64, s: &MetricsSample) {
+    for (name, series, value) in [
+        ("tracker in-flight", "tasks", s.tracker_in_flight),
+        ("ready queue", "tasks", s.ready_queue_len),
+        ("noc flits (cum)", "flits", s.noc_flits),
+        ("noc link wait (cum)", "cycles", s.noc_link_wait_cycles),
+        ("mem stall (cum)", "cycles", s.mem_stall_cycles),
+    ] {
+        w.begin_obj().field("name", name).field("ph", "C").field("ts", s.cycle).field("pid", pid);
+        w.key("args").begin_obj().field(series, value).end_obj().end_obj();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::MetricsSample;
+    use tis_sim::json::Json;
 
     fn complete_span(task: u64, core: usize, base: u64) -> TaskSpan {
         TaskSpan {
@@ -231,7 +175,8 @@ mod tests {
         let spans = [complete_span(0, 0, 0), complete_span(1, 1, 50)];
         let samples =
             [MetricsSample { cycle: 0, ..Default::default() }, MetricsSample { cycle: 1024, ..Default::default() }];
-        let doc = trace_json("unit", 2, &spans, &samples);
+        let text = trace_json("unit", 2, &spans, &samples).render();
+        let doc = Json::parse(&text).expect("the document parses (valid JSON)");
         let Some(Json::Arr(events)) = doc.get("traceEvents") else {
             panic!("traceEvents must be an array");
         };
@@ -251,8 +196,8 @@ mod tests {
         // Three slices per complete span.
         let slices = events.iter().filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"));
         assert_eq!(slices.count(), 6);
-        // The document parses back (valid JSON).
-        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
+        // The streamed document is laid out exactly as its value tree renders.
+        assert_eq!(doc.render(), text);
     }
 
     #[test]
@@ -267,7 +212,8 @@ mod tests {
         let names = vec!["alpha".to_string(), "beta".to_string()];
         let assignment = [0u32, 1, 0, 1];
         let samples = [MetricsSample { cycle: 1024, ..Default::default() }];
-        let doc = trace_json_tenants("mt", 2, &spans, &samples, &names, &assignment);
+        let text = trace_json_tenants("mt", 2, &spans, &samples, &names, &assignment).render();
+        let doc = Json::parse(&text).expect("the document parses (valid JSON)");
         let Some(Json::Arr(events)) = doc.get("traceEvents") else { panic!("traceEvents") };
         // Every task slice lives on its tenant's pid.
         for e in events {
@@ -292,14 +238,13 @@ mod tests {
         assert!(process_names.iter().any(|n| n.contains("tenant 0: alpha")));
         assert!(process_names.iter().any(|n| n.contains("tenant 1: beta")));
         assert!(process_names.iter().any(|n| n.contains("machine")));
-        // The document still parses back.
-        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
+        assert_eq!(doc.render(), text);
     }
 
     #[test]
     fn incomplete_spans_draw_nothing_but_tracks_remain() {
         let spans = [TaskSpan { task: 9, submit: Some(3), ..TaskSpan::default() }];
-        let doc = trace_json("unit", 4, &spans, &[]);
+        let doc = Json::parse(&trace_json("unit", 4, &spans, &[]).render()).unwrap();
         let Some(Json::Arr(events)) = doc.get("traceEvents") else { unreachable!() };
         assert!(events.iter().all(|e| e.get("ph").and_then(|p| p.as_str()) != Some("X")));
         // 1 process_name + 4 × (thread_name + thread_sort_index).

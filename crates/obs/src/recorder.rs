@@ -6,7 +6,7 @@ use crate::metrics::MetricsRegistry;
 use crate::perfetto;
 use crate::span::{SpanCollector, TaskSpan};
 use crate::Observer;
-use tis_sim::json::Json;
+use tis_sim::json::JsonText;
 use tis_sim::Cycle;
 
 /// What a [`Recorder`] collects.
@@ -63,13 +63,14 @@ impl Recorder {
         self.task_events
     }
 
-    /// Renders the Chrome trace-event / Perfetto document for this run.
-    pub fn perfetto_json(&self, label: &str, cores: usize) -> Json {
+    /// Renders the Chrome trace-event / Perfetto document for this run (see
+    /// [`perfetto::trace_json`]).
+    pub fn perfetto_json(&self, label: &str, cores: usize) -> JsonText {
         perfetto::trace_json(label, cores, self.spans.spans(), self.metrics.samples())
     }
 
-    /// Renders the metrics document for this run.
-    pub fn metrics_json(&self, label: &str, makespan: Cycle) -> Json {
+    /// Renders the metrics document for this run (see [`MetricsRegistry::to_json`]).
+    pub fn metrics_json(&self, label: &str, makespan: Cycle) -> JsonText {
         self.metrics.to_json(label, makespan)
     }
 

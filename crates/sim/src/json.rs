@@ -1,10 +1,17 @@
-//! A minimal, dependency-free JSON writer for machine-readable benchmark output.
+//! A minimal, dependency-free JSON writer for the benchmark artifacts and the observability
+//! exports.
 //!
 //! The workspace vendors no serialisation crate (the build environment has no registry
-//! access), and the benchmark output is a small, fixed shape — so a hand-rolled value tree
-//! with a compliant renderer is all that is needed. The renderer escapes strings per RFC 8259,
-//! emits non-finite numbers as `null` (JSON has no NaN/Infinity), and pretty-prints with
-//! two-space indentation so the artifacts diff cleanly between CI runs.
+//! access), so the module carries its own formatter: [`JsonWriter`], a streaming
+//! pretty-printer that appends one document to a `String` as the caller walks its data, with
+//! no intermediate value tree. It escapes strings per RFC 8259, writes non-finite numbers as
+//! `null` (JSON has no NaN/Infinity), and indents by two spaces so the artifacts diff cleanly
+//! between CI runs. The large documents (the `TRACE_*`/`METRICS_*` exports) are streamed
+//! through it directly; the small `BENCH_*.json` reports build a [`Json`] value tree, whose
+//! [`Json::render`] is a walk over the same writer, so both come out in one layout.
+//! [`Json::parse`] reads either back.
+
+use core::fmt::{self, Write as _};
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,68 +89,241 @@ impl Json {
 
     /// Renders the value as pretty-printed JSON with two-space indentation.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out.push('\n');
-        out
+        let mut w = JsonWriter::new();
+        w.value(self);
+        w.finish().render()
+    }
+}
+
+/// A streaming JSON pretty-printer over one `String`.
+///
+/// Containers open with [`begin_obj`](Self::begin_obj)/[`begin_arr`](Self::begin_arr) and
+/// close with the matching `end_*`; inside an object every value follows a
+/// [`key`](Self::key) ([`field`](Self::field) writes both). The layout is [`Json::render`]'s:
+/// one item per line, two-space indentation, `"key": value`, and `[]`/`{}` for empty
+/// containers. The writer does not validate the call sequence beyond debug assertions: an
+/// unbalanced container or a value without its key yields invalid JSON.
+#[derive(Debug)]
+pub struct JsonWriter {
+    out: String,
+    /// Number of open containers.
+    depth: usize,
+    /// Nothing written yet in the innermost open container.
+    first: bool,
+    /// A key was just written, so the next value completes its pair.
+    after_key: bool,
+}
+
+impl Default for JsonWriter {
+    fn default() -> Self {
+        JsonWriter::new()
+    }
+}
+
+impl JsonWriter {
+    /// Creates a writer for one document.
+    pub fn new() -> Self {
+        JsonWriter { out: String::new(), depth: 0, first: true, after_key: false }
     }
 
-    fn render_into(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::UInt(u) => out.push_str(&u.to_string()),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // `{:?}` keeps full round-trip precision and always marks the value as
-                    // non-integer where relevant (e.g. "1.0"), which keeps column types stable
-                    // for downstream tooling.
-                    out.push_str(&format!("{n:?}"));
-                } else {
-                    out.push_str("null");
-                }
+    /// Opens an object.
+    pub fn begin_obj(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    /// Opens an array.
+    pub fn begin_arr(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    /// Writes an object key; the next value (scalar or container) is its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        debug_assert!(!self.after_key, "a key must be followed by a value");
+        let out = self.item();
+        escape_into(key, out);
+        out.push_str(": ");
+        self.after_key = true;
+        self
+    }
+
+    /// Writes one value: an array element, the value of the last key, or the whole document.
+    pub fn value(&mut self, value: impl JsonValue) -> &mut Self {
+        value.write_to(self);
+        self
+    }
+
+    /// Writes `"key": value`.
+    pub fn field(&mut self, key: &str, value: impl JsonValue) -> &mut Self {
+        self.key(key).value(value)
+    }
+
+    /// Ends the document (with a trailing newline, as [`Json::render`] does).
+    pub fn finish(mut self) -> JsonText {
+        debug_assert!(self.depth == 0 && !self.after_key, "unclosed JSON container or dangling key");
+        self.out.push('\n');
+        JsonText(self.out)
+    }
+
+    /// Starts the next item and returns the buffer to write it into: a separator and a fresh
+    /// indented line before an array element or object key, nothing before a key's value or
+    /// the top-level value.
+    fn item(&mut self) -> &mut String {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.depth > 0 {
+            if !self.first {
+                self.out.push(',');
             }
-            Json::Str(s) => escape_into(s, out),
+            self.out.push('\n');
+            push_indent(&mut self.out, self.depth);
+        }
+        self.first = false;
+        &mut self.out
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.item().push(bracket);
+        self.depth += 1;
+        self.first = true;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        debug_assert!(self.depth > 0 && !self.after_key, "unbalanced JSON container");
+        self.depth -= 1;
+        if !self.first {
+            self.out.push('\n');
+            push_indent(&mut self.out, self.depth);
+        }
+        self.out.push(bracket);
+        self.first = false;
+        self
+    }
+}
+
+/// A value [`JsonWriter::value`] writes in one call.
+///
+/// Integers are written without a heap allocation; floats use `{:?}`, which keeps full
+/// round-trip precision and a decimal point (`1.0`), and write non-finite values as `null`;
+/// `None` is `null`; [`fmt::Arguments`] is formatted straight into an escaped string; a
+/// [`Json`] tree is walked.
+pub trait JsonValue {
+    /// Writes `self` as the writer's next value.
+    fn write_to(self, w: &mut JsonWriter);
+}
+
+impl JsonValue for bool {
+    fn write_to(self, w: &mut JsonWriter) {
+        w.item().push_str(if self { "true" } else { "false" });
+    }
+}
+
+impl JsonValue for u64 {
+    fn write_to(self, w: &mut JsonWriter) {
+        push_u64(w.item(), self);
+    }
+}
+
+impl JsonValue for i64 {
+    fn write_to(self, w: &mut JsonWriter) {
+        let out = w.item();
+        if self < 0 {
+            out.push('-');
+        }
+        push_u64(out, self.unsigned_abs());
+    }
+}
+
+impl JsonValue for f64 {
+    fn write_to(self, w: &mut JsonWriter) {
+        let out = w.item();
+        if self.is_finite() {
+            write!(out, "{self:?}").expect("writing to a String cannot fail");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+impl JsonValue for &str {
+    fn write_to(self, w: &mut JsonWriter) {
+        escape_into(self, w.item());
+    }
+}
+
+impl JsonValue for fmt::Arguments<'_> {
+    fn write_to(self, w: &mut JsonWriter) {
+        let out = w.item();
+        out.push('"');
+        Escaper(out).write_fmt(self).expect("writing to a String cannot fail");
+        out.push('"');
+    }
+}
+
+impl<T: JsonValue> JsonValue for Option<T> {
+    fn write_to(self, w: &mut JsonWriter) {
+        match self {
+            Some(v) => v.write_to(w),
+            None => w.item().push_str("null"),
+        }
+    }
+}
+
+impl<T: JsonValue + Copy> JsonValue for &[T] {
+    fn write_to(self, w: &mut JsonWriter) {
+        w.begin_arr();
+        for &v in self {
+            v.write_to(w);
+        }
+        w.end_arr();
+    }
+}
+
+impl JsonValue for &Json {
+    fn write_to(self, w: &mut JsonWriter) {
+        match self {
+            Json::Null => w.item().push_str("null"),
+            Json::Bool(b) => b.write_to(w),
+            Json::Int(i) => i.write_to(w),
+            Json::UInt(u) => u.write_to(w),
+            Json::Num(n) => n.write_to(w),
+            Json::Str(s) => s.as_str().write_to(w),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                w.begin_arr();
+                for item in items {
+                    w.value(item);
                 }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.render_into(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
+                w.end_arr();
             }
             Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
+                w.begin_obj();
+                for (key, value) in pairs {
+                    w.field(key, value);
                 }
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    escape_into(key, out);
-                    out.push_str(": ");
-                    value.render_into(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
+                w.end_obj();
             }
         }
+    }
+}
+
+/// A finished JSON document: the text a [`JsonWriter`] wrote, trailing newline included.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonText(String);
+
+impl JsonText {
+    /// The document's text: the bytes [`Json::render`] writes for the same document.
+    pub fn render(self) -> String {
+        self.0
     }
 }
 
@@ -371,21 +551,57 @@ fn push_indent(out: &mut String, levels: usize) {
     }
 }
 
+/// Appends the decimal digits of `v`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(core::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
 /// Escapes a string per RFC 8259 and appends it, quotes included.
 fn escape_into(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    Escaper(out).write_str(s).expect("writing to a String cannot fail");
     out.push('"');
+}
+
+/// Appends everything written to it with the characters JSON strings may not hold escaped.
+struct Escaper<'a>(&'a mut String);
+
+impl fmt::Write for Escaper<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        // Runs of plain text are copied whole. Every byte escaped here is ASCII, so each
+        // split point falls on a character boundary.
+        let mut plain = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            self.0.push_str(&s[plain..i]);
+            if escape.is_empty() {
+                write!(self.0, "\\u{b:04x}")?;
+            } else {
+                self.0.push_str(escape);
+            }
+            plain = i + 1;
+        }
+        self.0.push_str(&s[plain..]);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -479,5 +695,116 @@ mod tests {
         let parsed: f64 = rendered.trim().parse().unwrap();
         assert_eq!(parsed, 13.190000000000001);
         assert_eq!(Json::Num(1.0).render(), "1.0\n", "floats keep a decimal point");
+    }
+
+    #[test]
+    fn writer_streams_the_tree_layout() {
+        let tree = Json::obj([
+            ("name", Json::Str("task 7".into())),
+            ("submit", Json::Null),
+            ("neg", Json::Int(-3)),
+            ("rows", Json::Arr(vec![
+                Json::Arr(vec![Json::UInt(1), Json::UInt(2)]),
+                Json::Arr(vec![]),
+            ])),
+            ("args", Json::obj([])),
+            ("mean", Json::Num(0.5)),
+        ]);
+        let mut w = JsonWriter::new();
+        w.begin_obj().field("name", format_args!("task {}", 7)).field("submit", None::<u64>);
+        w.field("neg", -3i64).field("rows", [[1u64, 2].as_slice(), &[]].as_slice());
+        w.key("args").begin_obj().end_obj().field("mean", 0.5).end_obj();
+        assert_eq!(w.finish().render(), tree.render());
+    }
+
+    #[test]
+    fn formatted_strings_escape_like_plain_ones() {
+        let mut w = JsonWriter::new();
+        w.value(format_args!("{}\t{}", "a\"b", '\u{1f}'));
+        assert_eq!(w.finish().render(), Json::Str("a\"b\t\u{1f}".into()).render());
+        assert_eq!(Json::Str("\u{1f}é\r".into()).render(), "\"\\u001fé\\r\"\n");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Random value trees, at most `depth` containers deep. The scalars lean on the edges of
+    /// the format: `u64::MAX`, negative integers, non-finite numbers, quotes and control
+    /// characters; the containers include empty ones and arrays of arrays (the shape of the
+    /// per-core metrics series).
+    struct Trees {
+        depth: u32,
+    }
+
+    fn pick<T: Copy>(rng: &mut TestRng, options: &[T]) -> T {
+        options[rng.below(options.len() as u64) as usize]
+    }
+
+    fn string(rng: &mut TestRng) -> String {
+        let len = rng.below(6);
+        (0..len).map(|_| pick(rng, &['a', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'é', '𝄞'])).collect()
+    }
+
+    impl Strategy for Trees {
+        type Value = Json;
+
+        fn generate(&self, rng: &mut TestRng) -> Json {
+            let kinds = if self.depth == 0 { 6 } else { 9 };
+            let child = Trees { depth: self.depth.saturating_sub(1) };
+            let children = |rng: &mut TestRng| rng.below(4);
+            let bits = rng.next_u64();
+            match rng.below(kinds) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.below(2) == 1),
+                2 => Json::Int(pick(rng, &[i64::MIN, -1, -((bits >> 1) as i64)])),
+                3 => Json::UInt(pick(rng, &[0, u64::MAX, bits])),
+                4 => Json::Num(pick(rng, &[
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    1.0,
+                    -0.5,
+                    1e300,
+                    5e-324,
+                    (bits >> 11) as f64 / (1u64 << 53) as f64 * 2e6 - 1e6,
+                ])),
+                5 => Json::Str(string(rng)),
+                6 => Json::Arr((0..children(rng)).map(|_| child.generate(rng)).collect()),
+                7 => Json::Arr(
+                    (0..children(rng))
+                        .map(|_| Json::Arr((0..children(rng)).map(|_| Json::UInt(rng.next_u64())).collect()))
+                        .collect(),
+                ),
+                _ => Json::Obj((0..children(rng)).map(|_| (string(rng), child.generate(rng))).collect()),
+            }
+        }
+    }
+
+    /// What a tree reads back as: non-finite numbers are written as `null`.
+    fn written(v: &Json) -> Json {
+        match v {
+            Json::Num(n) if !n.is_finite() => Json::Null,
+            Json::Arr(items) => Json::Arr(items.iter().map(written).collect()),
+            Json::Obj(pairs) => Json::Obj(pairs.iter().map(|(k, v)| (k.clone(), written(v))).collect()),
+            other => other.clone(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn render_parse_render_is_the_identity(v in Trees { depth: 3 }) {
+            let text = v.render();
+            // RFC 8259: control characters appear only escaped, so the only raw ones are the
+            // layout's newlines.
+            prop_assert!(!text.bytes().any(|b| b < 0x20 && b != b'\n'), "raw control character in {text:?}");
+            let parsed = Json::parse(&text).unwrap_or_else(|e| panic!("{e} in {text}"));
+            prop_assert_eq!(&parsed, &written(&v));
+            prop_assert_eq!(parsed.render(), text);
+        }
     }
 }

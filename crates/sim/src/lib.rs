@@ -14,8 +14,9 @@
 //!   tables on the simulator's hot paths;
 //! * [`inline`] — [`InlineVec`], a small vector with inline storage for the short lists the
 //!   Picos task memory and address table are made of;
-//! * [`json`] — the dependency-free JSON value tree shared by the benchmark artifacts and the
-//!   observability exports (`tis-bench` re-exports it at its crate root).
+//! * [`json`] — the dependency-free JSON formatter: a streaming writer the observability
+//!   exports write through, and the value tree (rendered by the same writer) behind the
+//!   benchmark artifacts (`tis-bench` re-exports it at its crate root).
 //!
 //! The whole simulator is single-threaded and deterministic: given the same configuration and the
 //! same seeds, every run produces bit-identical results. This mirrors the methodology of the

@@ -10,9 +10,11 @@
 //! 2. **What it reports is exact.** The critical-path profiler partitions every makespan into
 //!    gap-free segments whose totals sum to the makespan *exactly*, across the entire paper
 //!    catalog on all four platforms; per-core busy/idle splits partition `cores × makespan`
-//!    the same way; and a hand-built diamond DAG exports a byte-pinned Perfetto document
-//!    (golden file: `bench-baselines/TRACE_diamond_golden.json`, regenerate with
-//!    `TIS_REPIN=1 cargo test --test observability`).
+//!    the same way; and a hand-built diamond DAG exports byte-pinned documents: its Perfetto
+//!    trace (`bench-baselines/TRACE_diamond_golden.json`), its metrics document
+//!    (`METRICS_diamond_golden.json`) and a per-tenant trace of the diamond co-scheduled with
+//!    Figure 7's Task-Free (`TRACE_diamond-tenants_golden.json`). Regenerate all three with
+//!    `TIS_REPIN=1 cargo test --test observability`.
 
 use std::path::Path;
 
@@ -151,32 +153,45 @@ fn checked_in_baselines_carry_no_obs_keys() {
     }
 }
 
-#[test]
-fn diamond_perfetto_export_matches_the_golden_file() {
-    let program = diamond_program();
-    let harness = Harness::with_cores(2);
-    let mut rec = Recorder::new(ObsConfig::full());
-    let report = harness.run_observed(Platform::Phentos, &program, &mut rec).expect("diamond");
-    let doc = rec.perfetto_json("diamond-golden", harness.cores());
-    let rendered = doc.render();
-
-    let golden_path = baseline_dir().join("TRACE_diamond_golden.json");
+/// Asserts that `rendered` equals the golden file `name` under `bench-baselines/`, or rewrites
+/// the file when `TIS_REPIN` is set. Returns the parsed golden document for schema checks.
+fn assert_golden(name: &str, rendered: &str) -> Json {
+    let golden_path = baseline_dir().join(name);
     if std::env::var_os("TIS_REPIN").is_some_and(|v| !v.is_empty()) {
-        std::fs::write(&golden_path, &rendered).expect("write golden trace");
+        std::fs::write(&golden_path, rendered).expect("write golden file");
         println!("re-pinned {}", golden_path.display());
-        return;
     }
     let golden = std::fs::read_to_string(&golden_path)
         .unwrap_or_else(|e| panic!("{}: {e} (regenerate with TIS_REPIN=1)", golden_path.display()));
     assert_eq!(
         rendered, golden,
-        "diamond Perfetto export drifted from the golden file; if intentional, regenerate \
-         with TIS_REPIN=1 cargo test --test observability"
+        "{name}: the export drifted from the golden file; if intentional, regenerate with \
+         TIS_REPIN=1 cargo test --test observability"
     );
+    let parsed = Json::parse(&golden).unwrap_or_else(|e| panic!("{name} parses: {e}"));
+    // The exporters stream their documents; the value-tree renderer lays the parsed document
+    // out in exactly the same bytes.
+    assert_eq!(parsed.render(), golden, "{name}: the tree renderer disagrees with the exporter");
+    parsed
+}
+
+/// Runs the diamond observed (every stream on) on two Phentos cores.
+fn observed_diamond() -> (TaskProgram, Harness, Recorder, u64) {
+    let program = diamond_program();
+    let harness = Harness::with_cores(2);
+    let mut rec = Recorder::new(ObsConfig::full());
+    let report = harness.run_observed(Platform::Phentos, &program, &mut rec).expect("diamond");
+    (program, harness, rec, report.total_cycles)
+}
+
+#[test]
+fn diamond_perfetto_export_matches_the_golden_file() {
+    let (program, harness, rec, makespan) = observed_diamond();
+    let rendered = rec.perfetto_json("diamond-golden", harness.cores()).render();
+    let parsed = assert_golden("TRACE_diamond_golden.json", &rendered);
 
     // Schema checks on top of the byte pin: the document is loadable trace-event JSON.
-    let parsed = Json::parse(&golden).expect("golden trace parses");
-    assert_eq!(parsed, doc);
+    assert_eq!(parsed, Json::parse(&rendered).expect("rendered trace parses"));
     let Some(Json::Arr(events)) = parsed.get("traceEvents") else {
         panic!("traceEvents must be an array");
     };
@@ -194,8 +209,69 @@ fn diamond_perfetto_export_matches_the_golden_file() {
             .find(|e| e.get("name").and_then(Json::as_str) == Some(&format!("task {task}")))
             .unwrap_or_else(|| panic!("task {task} has no body slice"));
         let ts = body.get("ts").and_then(Json::as_f64).expect("body has ts") as u64;
-        assert!(ts < report.total_cycles);
+        assert!(ts < makespan);
     }
+}
+
+#[test]
+fn diamond_metrics_export_matches_the_golden_file() {
+    let (_, _, rec, makespan) = observed_diamond();
+    let rendered = rec.metrics_json("diamond-golden", makespan).render();
+    let parsed = assert_golden("METRICS_diamond_golden.json", &rendered);
+    assert_eq!(parsed.get("schema").and_then(Json::as_str), Some("tis-metrics-v1"));
+    assert_eq!(parsed.get("makespan_cycles").and_then(Json::as_f64), Some(makespan as f64));
+    let samples = rec.metrics().samples().len();
+    let Some(Json::Arr(cycles)) = parsed.get("timeline").and_then(|t| t.get("cycle")) else {
+        panic!("timeline.cycle must be an array");
+    };
+    assert_eq!(cycles.len(), samples);
+    assert!(samples > 1, "the diamond spans several sample buckets");
+}
+
+#[test]
+fn tenant_perfetto_export_matches_the_golden_file() {
+    // The diamond (batch arrival) co-scheduled with Figure 7's Task-Free (Poisson arrivals).
+    let (free, free_program) = figure7_workloads(12).swap_remove(0);
+    let diamond = diamond_program();
+    let source = TenantSet::new()
+        .tenant("diamond", Box::new(MaterializedSource::new(&diamond)), ArrivalProcess::BatchAtZero)
+        .tenant(
+            free,
+            Box::new(MaterializedSource::new(&free_program)),
+            ArrivalProcess::Poisson { mean_interarrival: 400 },
+        )
+        .into_source(SimRng::new(11));
+    let harness = Harness::with_cores(2);
+    let mut rec = Recorder::new(ObsConfig::full());
+    let (report, data) =
+        harness.run_tenants(Platform::Phentos, source, true, Some(&mut rec)).expect("tenant run");
+    let rendered = trace_json_tenants(
+        "diamond-tenants",
+        harness.cores(),
+        rec.spans(),
+        rec.metrics().samples(),
+        &data.names,
+        &data.assignment,
+    )
+    .render();
+    let parsed = assert_golden("TRACE_diamond-tenants_golden.json", &rendered);
+    let Some(Json::Arr(events)) = parsed.get("traceEvents") else {
+        panic!("traceEvents must be an array");
+    };
+    // One task-body slice per retired task on its tenant's track group, and the counters on
+    // the machine process after the tenants.
+    for (t, tenant) in report.tenants.iter().enumerate() {
+        let bodies = events
+            .iter()
+            .filter(|e| e.get("cat").and_then(Json::as_str) == Some("task"))
+            .filter(|e| e.get("pid").and_then(Json::as_f64) == Some(t as f64))
+            .count();
+        assert_eq!(bodies as u64, tenant.tasks, "tenant {t}");
+    }
+    let counters: Vec<_> =
+        events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("C")).collect();
+    assert!(!counters.is_empty());
+    assert!(counters.iter().all(|e| e.get("pid").and_then(Json::as_f64) == Some(2.0)));
 }
 
 #[test]
